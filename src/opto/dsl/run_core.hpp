@@ -8,9 +8,9 @@
 // hand-coded path — the run core cannot diverge with itself.
 //
 // The result document ("opto.scenario.result/1") contains only
-// deterministic model-level values: no wall-clock fields, no engine
-// instrumentation counters (those differ across PassSharding modes by
-// the DESIGN.md §7 contract).
+// deterministic model-level values: no wall-clock fields and no engine
+// instrumentation counters (steps, registry probes, peak_inflight), which
+// describe how the engine ran, not what the model did.
 #pragma once
 
 #include <cstdint>

@@ -63,8 +63,9 @@ void parallel_for_chunked(
   const std::size_t workers = pool->thread_count();
   // Run inline from a worker of the same pool: blocking in wait() while
   // our chunks sit behind other blocked workers' chunks can deadlock the
-  // pool (nested parallel_for, e.g. a sharded simulator pass inside a
-  // parallel trial).
+  // pool (nested parallel_for: a caller that fans experiment points out
+  // over the pool and calls run_trials, run_strategy_trials or
+  // TrialAndFailure::run_many inside each task).
   if (workers <= 1 || count == 1 || pool->on_worker_thread()) {
     body(begin, end);
     return;

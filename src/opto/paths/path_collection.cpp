@@ -1,7 +1,6 @@
 #include "opto/paths/path_collection.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "opto/rng/rng.hpp"
 #include "opto/util/assert.hpp"
@@ -12,7 +11,7 @@ PathCollection& PathCollection::operator=(const PathCollection& other) {
   if (this == &other) return *this;
   graph_ = other.graph_;
   paths_ = other.paths_;
-  invalidate_caches();
+  invalidate_cache();
   return *this;
 }
 
@@ -20,14 +19,13 @@ PathCollection& PathCollection::operator=(PathCollection&& other) noexcept {
   if (this == &other) return *this;
   graph_ = std::move(other.graph_);
   paths_ = std::move(other.paths_);
-  invalidate_caches();
+  invalidate_cache();
   return *this;
 }
 
-void PathCollection::invalidate_caches() {
+void PathCollection::invalidate_cache() {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   flat_cache_.reset();
-  component_cache_.reset();
 }
 
 void PathCollection::add(Path path) {
@@ -35,7 +33,7 @@ void PathCollection::add(Path path) {
   for (EdgeId link : path.links())
     OPTO_ASSERT_MSG(link < graph_->link_count(), "link outside graph");
   paths_.push_back(std::move(path));
-  invalidate_caches();
+  invalidate_cache();
 }
 
 const FlatPaths& PathCollection::flat_paths() const {
@@ -54,62 +52,6 @@ const FlatPaths& PathCollection::flat_paths() const {
     flat_cache_ = std::move(flat);
   }
   return *flat_cache_;
-}
-
-const ComponentDecomposition& PathCollection::components() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (!component_cache_) {
-    auto dec = std::make_unique<ComponentDecomposition>();
-    const std::uint32_t n = size();
-    // Union-find with path halving + union by size. Two paths meet iff
-    // they use a common directed link, so unioning every path into the
-    // *first* user of each of its links wires up exactly the "shares a
-    // link" relation in O(Σ lengths · α) without materializing per-link
-    // user lists.
-    std::vector<PathId> parent(n);
-    std::iota(parent.begin(), parent.end(), PathId{0});
-    std::vector<std::uint32_t> tree_size(n, 1);
-    const auto find = [&parent](PathId x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    const auto unite = [&](PathId a, PathId b) {
-      a = find(a);
-      b = find(b);
-      if (a == b) return;
-      if (tree_size[a] < tree_size[b]) std::swap(a, b);
-      parent[b] = a;
-      tree_size[a] += tree_size[b];
-    };
-    std::vector<PathId> first_user(graph_ ? graph_->link_count() : 0,
-                                   kInvalidPath);
-    for (PathId id = 0; id < n; ++id) {
-      for (EdgeId link : paths_[id].links()) {
-        if (first_user[link] == kInvalidPath)
-          first_user[link] = id;
-        else
-          unite(first_user[link], id);
-      }
-    }
-    // Canonical numbering: component c is the c-th distinct root in
-    // path-id order (so a zero-length path is its own singleton).
-    dec->component_of.assign(n, 0);
-    std::vector<std::uint32_t> label(n, ~0u);
-    for (PathId id = 0; id < n; ++id) {
-      const PathId root = find(id);
-      if (label[root] == ~0u) {
-        label[root] = dec->count++;
-        dec->sizes.push_back(0);
-      }
-      dec->component_of[id] = label[root];
-      ++dec->sizes[label[root]];
-    }
-    component_cache_ = std::move(dec);
-  }
-  return *component_cache_;
 }
 
 std::uint32_t PathCollection::dilation() const {

@@ -3,6 +3,8 @@
 // and the invariant that observing a run never changes its outcome.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "opto/benchsupport/experiment.hpp"
 #include "opto/obs/obs.hpp"
 #include "opto/paths/lowerbound_structures.hpp"
+#include "opto/sim/simulator.hpp"
 
 namespace opto {
 namespace {
@@ -158,6 +161,42 @@ TEST_F(ObsTest, ObservationDoesNotChangeOutcomes) {
     EXPECT_EQ(observed.rounds[i].contention_losses,
               dark.rounds[i].contention_losses);
   }
+}
+
+// One pass is one sim.pass timer call. A large pass on a collection of
+// several link-disjoint bundles, with every worm in one bundle, must not
+// nest a second timer around the pass it runs.
+TEST_F(ObsTest, OnePassRecordsOnePassTimerCall) {
+  const auto collection = make_bundle_collection(2, 64, 4);
+  const std::span<const EdgeId> first = collection.path(0).links();
+  std::vector<LaunchSpec> specs;
+  for (PathId id = 0; id < collection.size(); ++id) {
+    const std::span<const EdgeId> links = collection.path(id).links();
+    const bool same_bundle = std::equal(links.begin(), links.end(),
+                                        first.begin(), first.end());
+    if (!same_bundle) {
+      // The other bundle shares no directed link with this one.
+      for (const EdgeId link : links)
+        ASSERT_EQ(std::find(first.begin(), first.end(), link), first.end());
+      continue;
+    }
+    LaunchSpec spec;
+    spec.path = id;
+    spec.start_time = static_cast<SimTime>(id % 8);
+    specs.push_back(spec);
+  }
+  ASSERT_GE(specs.size(), 64u);
+  ASSERT_LT(specs.size(), collection.size());
+
+  Simulator sim(collection, SimConfig{});
+  obs::reset();
+  const PassResult result = sim.run(specs);
+  EXPECT_EQ(result.metrics.launched, specs.size());
+
+  const auto* pass = find_phase(obs::phases(), "sim.pass");
+  ASSERT_NE(pass, nullptr);
+  EXPECT_EQ(pass->calls, 1u);
+  EXPECT_EQ(counter_value("sim.passes"), 1u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "opto/paths/path_collection.hpp"
 
@@ -128,6 +129,40 @@ TEST(PathCollection, FromNodeLists) {
   const auto collection = collection_from_node_lists(graph, lists);
   EXPECT_EQ(collection.size(), 2u);
   EXPECT_EQ(collection.path(1).source(), 2u);
+}
+
+TEST(FlatPaths, MatchesPathLinks) {
+  auto graph = chain(6);
+  const std::vector<std::vector<NodeId>> lists = {
+      {0, 1, 2}, {3}, {2, 3, 4, 5}, {1, 2}};
+  const PathCollection c = collection_from_node_lists(graph, lists);
+  const FlatPaths& flat = c.flat_paths();
+  ASSERT_EQ(flat.offsets.size(), c.size() + 1);
+  EXPECT_EQ(flat.offsets.front(), 0u);
+  EXPECT_EQ(flat.offsets.back(), flat.links.size());
+  for (PathId p = 0; p < c.size(); ++p) {
+    const auto links = c.path(p).links();
+    ASSERT_EQ(flat.offsets[p + 1] - flat.offsets[p], links.size());
+    for (std::size_t i = 0; i < links.size(); ++i)
+      EXPECT_EQ(flat.links[flat.offsets[p] + i], links[i]);
+  }
+}
+
+TEST(FlatPaths, InvalidatedByAdd) {
+  auto graph = chain(4);
+  PathCollection c = collection_from_node_lists(
+      graph, std::vector<std::vector<NodeId>>{{0, 1}});
+  EXPECT_EQ(c.flat_paths().offsets.size(), 2u);
+  const PathCollection grown = collection_from_node_lists(
+      graph, std::vector<std::vector<NodeId>>{{0, 1}, {2, 3}});
+  for (const Path& path : grown.paths())
+    if (&path != &grown.paths().front()) {
+      PathCollection copy = c;  // also exercises the cache-dropping copy
+      copy.add(path);
+      EXPECT_EQ(copy.flat_paths().offsets.size(), 3u);
+      EXPECT_EQ(copy.flat_paths().links.size(), 2u);
+    }
+  EXPECT_EQ(c.flat_paths().offsets.size(), 2u);  // the original is intact
 }
 
 }  // namespace
