@@ -48,7 +48,7 @@ void BM_SimulatorMeshPass(benchmark::State& state) {
   state.counters["worm_steps/s"] = benchmark::Counter(
       static_cast<double>(worm_steps), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SimulatorMeshPass)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_SimulatorMeshPass)->Arg(8)->Arg(16)->Arg(32)->UseRealTime();
 
 /// High-contention pass: a saturated mesh under the priority rule, long
 /// worms, wide startup window — many truncations, long drains, and a
@@ -89,7 +89,7 @@ void BM_SimulatorStressPass(benchmark::State& state) {
   state.counters["registry_hits"] =
       static_cast<double>(result.metrics.registry_hits);
 }
-BENCHMARK(BM_SimulatorStressPass)->Arg(16)->Arg(32);
+BENCHMARK(BM_SimulatorStressPass)->Arg(16)->Arg(32)->UseRealTime();
 
 void BM_SimulatorBundleContention(benchmark::State& state) {
   const auto width = static_cast<std::uint32_t>(state.range(0));
@@ -110,15 +110,21 @@ void BM_SimulatorBundleContention(benchmark::State& state) {
     benchmark::DoNotOptimize(result.metrics.killed);
   }
 }
-BENCHMARK(BM_SimulatorBundleContention)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(BM_SimulatorBundleContention)
+    ->Arg(64)
+    ->Arg(512)
+    ->Arg(4096)
+    ->UseRealTime();
 
 void BM_PathCongestionMetric(benchmark::State& state) {
   const auto dim = static_cast<std::uint32_t>(state.range(0));
   auto topo = std::make_shared<ButterflyTopology>(make_butterfly(dim));
   Rng rng(4);
   const auto collection = butterfly_random_q_function(topo, 4, rng);
+  // path_congestion() is memoized; path_congestions() recomputes the CSR
+  // inversion and the per-path counts on every call.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(collection.path_congestion());
+    benchmark::DoNotOptimize(collection.path_congestions());
   }
   state.counters["paths"] = static_cast<double>(collection.size());
 }

@@ -7,6 +7,7 @@
 // v→u with id `e ^ 1`, so reversing a link is a single XOR.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -32,7 +33,7 @@ class Graph {
   /// duplicate edges are rejected.
   EdgeId add_edge(NodeId u, NodeId v);
 
-  NodeId node_count() const { return static_cast<NodeId>(out_edges_.size()); }
+  NodeId node_count() const { return static_cast<NodeId>(out_.size()); }
   /// Number of directed links (= 2 × undirected edges).
   EdgeId link_count() const { return static_cast<EdgeId>(targets_.size()); }
   EdgeId undirected_edge_count() const { return link_count() / 2; }
@@ -42,14 +43,13 @@ class Graph {
 
   static constexpr EdgeId reverse(EdgeId e) { return e ^ 1; }
 
-  /// Directed links leaving u.
+  /// Directed links leaving u, in insertion order. The span is valid
+  /// until the next add_edge() or add_node().
   std::span<const EdgeId> out_links(NodeId u) const {
-    return {out_edges_[u].data(), out_edges_[u].size()};
+    return {adjacency_.data() + out_[u].first, out_[u].degree};
   }
 
-  NodeId degree(NodeId u) const {
-    return static_cast<NodeId>(out_edges_[u].size());
-  }
+  NodeId degree(NodeId u) const { return out_[u].degree; }
   NodeId max_degree() const;
 
   /// Directed link u→v, or kInvalidEdge.
@@ -68,7 +68,23 @@ class Graph {
   // slots (even id u→v stores v, odd id v→u stores u), so source(e) is just
   // target(e^1).
   std::vector<NodeId> targets_;
-  std::vector<std::vector<EdgeId>> out_edges_;
+
+  // Every node's out-links live in one arena: node u's are
+  // adjacency_[out_[u].first, out_[u].first + out_[u].degree). A block
+  // holds max(4, bit_ceil(degree)) slots, so nodes of degree ≤ 4 (meshes,
+  // butterflies, rings) are placed once; when a block is full, add_edge
+  // moves it to the arena's end at twice the size and leaves the old slots
+  // unused. Building a graph therefore allocates a logarithmic number of
+  // times, not once or more per node, at the cost of at most 4 slots per
+  // out-link.
+  struct OutBlock {
+    std::size_t first = 0;
+    NodeId degree = 0;
+  };
+  void append_out_link(NodeId u, EdgeId e);
+
+  std::vector<EdgeId> adjacency_;
+  std::vector<OutBlock> out_;
 };
 
 }  // namespace opto

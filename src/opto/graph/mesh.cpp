@@ -24,7 +24,13 @@ MeshTopology make_grid(std::vector<std::uint32_t> sides, bool wrap) {
   for (std::uint32_t side : topo.sides) name += "-" + std::to_string(side);
   topo.graph = Graph(static_cast<NodeId>(total), name);
 
+  // Row-major order (last dimension fastest): a +1 step in dimension d
+  // moves the index by stride[d], and wrapping back to coordinate 0 moves
+  // it back by (side - 1) * stride[d].
   const std::uint32_t dims = topo.dimensions();
+  std::vector<std::uint64_t> stride(dims, 1);
+  for (std::uint32_t d = dims - 1; d-- > 0;)
+    stride[d] = stride[d + 1] * topo.sides[d + 1];
   std::vector<std::uint32_t> coords(dims, 0);
   for (NodeId node = 0; node < total; ++node) {
     // Connect each node to its +1 neighbor in every dimension (the -1
@@ -32,15 +38,11 @@ MeshTopology make_grid(std::vector<std::uint32_t> sides, bool wrap) {
     for (std::uint32_t d = 0; d < dims; ++d) {
       const std::uint32_t side = topo.sides[d];
       if (side == 1) continue;
-      if (coords[d] + 1 < side) {
-        std::vector<std::uint32_t> next(coords.begin(), coords.end());
-        ++next[d];
-        topo.graph.add_edge(node, topo.node_at(next));
-      } else if (wrap) {
-        std::vector<std::uint32_t> next(coords.begin(), coords.end());
-        next[d] = 0;
-        topo.graph.add_edge(node, topo.node_at(next));
-      }
+      if (coords[d] + 1 < side)
+        topo.graph.add_edge(node, static_cast<NodeId>(node + stride[d]));
+      else if (wrap)
+        topo.graph.add_edge(
+            node, static_cast<NodeId>(node - coords[d] * stride[d]));
     }
     // Advance row-major coordinates (last dimension fastest).
     for (std::uint32_t d = dims; d-- > 0;) {

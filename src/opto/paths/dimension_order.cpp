@@ -1,5 +1,7 @@
 #include "opto/paths/dimension_order.hpp"
 
+#include <algorithm>
+
 #include "opto/util/assert.hpp"
 
 namespace opto {
@@ -8,7 +10,15 @@ std::vector<NodeId> dimension_order_route(const MeshTopology& topo,
                                           NodeId source, NodeId destination) {
   auto coords = topo.coords_of(source);
   const auto goal = topo.coords_of(destination);
-  std::vector<NodeId> route{source};
+  std::uint32_t hops = 0;
+  for (std::uint32_t d = 0; d < topo.dimensions(); ++d) {
+    const std::uint32_t gap =
+        goal[d] > coords[d] ? goal[d] - coords[d] : coords[d] - goal[d];
+    hops += topo.wrap ? std::min(gap, topo.sides[d] - gap) : gap;
+  }
+  std::vector<NodeId> route;
+  route.reserve(hops + 1);
+  route.push_back(source);
   for (std::uint32_t d = 0; d < topo.dimensions(); ++d) {
     const std::uint32_t side = topo.sides[d];
     while (coords[d] != goal[d]) {

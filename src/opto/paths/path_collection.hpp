@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -47,7 +48,7 @@ class PathCollection {
       : graph_(std::move(graph)) {}
 
   // Copies and moves transfer the graph and paths but not the derived
-  // cache (it rebuilds on demand); required because the cache mutex is
+  // caches (they rebuild on demand); required because the cache mutex is
   // neither copyable nor movable.
   PathCollection(const PathCollection& other)
       : graph_(other.graph_), paths_(other.paths_) {}
@@ -77,12 +78,25 @@ class PathCollection {
 
   /// Exact path congestion C̃ (counts *other* paths; a path sharing a link
   /// with k identical copies of itself counts those copies).
-  /// O(Σ_e load(e)²) worst case — fine at experiment scale; the bundle
-  /// structures report their C̃ analytically instead.
+  ///
+  /// Computed by inverting link → paths into one CSR array (a counting
+  /// pass, a prefix sum and one fill), then, per path, stamping every user
+  /// of each of its links and subtracting the path itself: O(Σ_e load(e)²)
+  /// worst case — fine at experiment scale; the bundle structures report
+  /// their C̃ analytically instead. The value is memoized next to
+  /// flat_paths(), under the same mutex, so concurrent readers compute it
+  /// once; add() and copy/move assignment invalidate it, and copies and
+  /// moves do not carry it.
   std::uint32_t path_congestion() const;
 
-  /// Per-path congestion values (same definition as above).
+  /// Per-path congestion values (same definition as above), computed
+  /// afresh on every call.
   std::vector<std::uint32_t> path_congestions() const;
+
+  /// C̃ of the sub-collection `ids` (one member per listed id, so a
+  /// repeated id counts as a copy): only listed paths count as sharers.
+  /// Same CSR kernel, not memoized.
+  std::uint32_t path_congestion(std::span<const PathId> ids) const;
 
   /// Estimated C̃ from a uniform sample of `samples` paths: the max of the
   /// sampled paths' exact congestions. A lower bound on the true C̃ that
@@ -104,11 +118,12 @@ class PathCollection {
   std::shared_ptr<const Graph> graph_;
   std::vector<Path> paths_;
 
-  // Derived-view cache; mutable + mutex-guarded so concurrent readers
+  // Derived-value caches; mutable + mutex-guarded so concurrent readers
   // (parallel trials each constructing a Simulator on one shared
-  // collection) build it exactly once.
+  // collection) build each exactly once.
   mutable std::mutex cache_mutex_;
   mutable std::unique_ptr<FlatPaths> flat_cache_;
+  mutable std::optional<std::uint32_t> congestion_cache_;
 };
 
 /// Builds a single-graph collection from explicit node sequences

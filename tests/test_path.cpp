@@ -71,6 +71,44 @@ TEST(PathDeath, RejectsRevisit) {
                "simple");
 }
 
+TEST(Path, SimpleWalkAroundACycleIsAccepted) {
+  // Every node of a 4-cycle once: the destination neighbours the source
+  // but is not the source, so the path is simple.
+  Graph ring(4);
+  for (NodeId u = 0; u < 4; ++u) ring.add_edge(u, (u + 1) % 4);
+  const auto by_nodes =
+      Path::from_nodes(ring, std::vector<NodeId>{0, 1, 2, 3});
+  const auto by_links = Path::from_links(
+      ring, {ring.find_link(0, 1), ring.find_link(1, 2), ring.find_link(2, 3)});
+  EXPECT_EQ(by_nodes, by_links);
+  EXPECT_EQ(by_links.nodes(ring), (std::vector<NodeId>{0, 1, 2, 3}));
+}
+
+TEST(PathDeath, RejectsLaterNonAdjacentPair) {
+  const auto graph = chain(4);
+  EXPECT_DEATH(Path::from_nodes(graph, std::vector<NodeId>{0, 1, 3}),
+               "not adjacent");
+}
+
+TEST(PathDeath, RejectsMidPathRevisit) {
+  const auto graph = chain(4);
+  EXPECT_DEATH(Path::from_nodes(graph, std::vector<NodeId>{0, 1, 2, 1}),
+               "simple");
+}
+
+TEST(PathDeath, FromLinksRejectsRevisitOfSource) {
+  const auto graph = chain(4);
+  std::vector<EdgeId> links{graph.find_link(1, 2), graph.find_link(2, 1)};
+  EXPECT_DEATH(Path::from_links(graph, links), "simple");
+}
+
+TEST(PathDeath, FromLinksRejectsMidPathRevisit) {
+  const auto graph = chain(4);
+  std::vector<EdgeId> links{graph.find_link(0, 1), graph.find_link(1, 2),
+                            graph.find_link(2, 3), graph.find_link(3, 2)};
+  EXPECT_DEATH(Path::from_links(graph, links), "simple");
+}
+
 TEST(PathDeath, RejectsNonConsecutiveLinks) {
   const auto graph = chain(4);
   std::vector<EdgeId> links{graph.find_link(0, 1), graph.find_link(2, 3)};

@@ -2,10 +2,17 @@
 // (paths sharing a directed link), which differs from edge congestion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "opto/graph/butterfly.hpp"
+#include "opto/graph/mesh.hpp"
+#include "opto/par/parallel_for.hpp"
+#include "opto/par/thread_pool.hpp"
 #include "opto/paths/path_collection.hpp"
+#include "opto/paths/workloads.hpp"
+#include "opto/rng/rng.hpp"
 
 namespace opto {
 namespace {
@@ -14,6 +21,63 @@ std::shared_ptr<Graph> chain(NodeId n) {
   auto graph = std::make_shared<Graph>(n);
   for (NodeId u = 0; u + 1 < n; ++u) graph->add_edge(u, u + 1);
   return graph;
+}
+
+/// Brute-force C̃ per member: for every pair of members, do their paths
+/// share a directed link? Members are paths of `collection` by id, so a
+/// repeated id is a duplicate path.
+std::vector<std::uint32_t> pairwise_congestions(
+    const PathCollection& collection, const std::vector<PathId>& members) {
+  const auto shares_link = [&](PathId a, PathId b) {
+    for (EdgeId x : collection.path(a).links())
+      for (EdgeId y : collection.path(b).links())
+        if (x == y) return true;
+    return false;
+  };
+  std::vector<std::uint32_t> result(members.size(), 0);
+  for (std::size_t i = 0; i < members.size(); ++i)
+    for (std::size_t j = 0; j < members.size(); ++j)
+      if (i != j && shares_link(members[i], members[j])) ++result[i];
+  return result;
+}
+
+std::vector<PathId> all_ids(const PathCollection& collection) {
+  std::vector<PathId> ids(collection.size());
+  for (PathId id = 0; id < collection.size(); ++id) ids[id] = id;
+  return ids;
+}
+
+std::uint32_t max_of(const std::vector<std::uint32_t>& values) {
+  return values.empty() ? 0 : *std::max_element(values.begin(), values.end());
+}
+
+/// Appends duplicates of random paths and zero-length paths, so the oracle
+/// sees both: copies count each other, a zero-length path counts 0.
+void add_duplicates_and_stubs(PathCollection& collection, Rng& rng) {
+  const std::uint32_t n = collection.size();
+  for (std::uint32_t k = 0; k < n / 4; ++k)
+    collection.add(collection.path(static_cast<PathId>(rng.next_below(n))));
+  const NodeId nodes = collection.graph().node_count();
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    const auto node = static_cast<NodeId>(rng.next_below(nodes));
+    collection.add(Path::from_nodes(collection.graph(),
+                                    std::vector<NodeId>{node}));
+  }
+}
+
+/// Random mesh and butterfly instances for the oracle tests.
+std::vector<PathCollection> random_collections() {
+  std::vector<PathCollection> out;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    auto mesh = std::make_shared<MeshTopology>(make_mesh({5, 6}));
+    out.push_back(mesh_random_function(mesh, rng));
+    add_duplicates_and_stubs(out.back(), rng);
+    auto butterfly = std::make_shared<ButterflyTopology>(make_butterfly(4));
+    out.push_back(butterfly_random_q_function(butterfly, 2, rng));
+    add_duplicates_and_stubs(out.back(), rng);
+  }
+  return out;
 }
 
 TEST(PathCollection, EmptyStats) {
@@ -163,6 +227,95 @@ TEST(FlatPaths, InvalidatedByAdd) {
       EXPECT_EQ(copy.flat_paths().links.size(), 2u);
     }
   EXPECT_EQ(c.flat_paths().offsets.size(), 2u);  // the original is intact
+}
+
+TEST(PathCollection, CongestionMatchesPairwiseOracle) {
+  for (const PathCollection& collection : random_collections()) {
+    const auto expected = pairwise_congestions(collection, all_ids(collection));
+    EXPECT_EQ(collection.path_congestions(), expected);
+    EXPECT_EQ(collection.path_congestion(), max_of(expected));
+    EXPECT_EQ(collection.path_congestion_sampled(collection.size(), 3),
+              max_of(expected));
+    EXPECT_LE(collection.path_congestion_sampled(5, 3), max_of(expected));
+  }
+}
+
+TEST(PathCollection, DuplicatesCountEachOtherAndStubsCountZero) {
+  const auto graph = chain(4);
+  PathCollection collection(graph);
+  const Path path = Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2});
+  collection.add(path);
+  collection.add(path);
+  collection.add(path);
+  collection.add(Path::from_nodes(*graph, std::vector<NodeId>{1}));
+  collection.add(Path::from_nodes(*graph, std::vector<NodeId>{1}));
+  EXPECT_EQ(collection.path_congestions(),
+            (std::vector<std::uint32_t>{2, 2, 2, 0, 0}));
+  EXPECT_EQ(collection.path_congestions(),
+            pairwise_congestions(collection, all_ids(collection)));
+}
+
+TEST(PathCollection, SubsetCongestionMatchesOracle) {
+  for (const PathCollection& collection : random_collections()) {
+    Rng rng(collection.size());
+    for (int draw = 0; draw < 5; ++draw) {
+      std::vector<PathId> ids;
+      for (PathId id = 0; id < collection.size(); ++id)
+        if (rng.next_bernoulli(0.5)) ids.push_back(id);
+      ids.push_back(ids.empty() ? 0 : ids.front());  // a repeated id
+      EXPECT_EQ(collection.path_congestion(ids),
+                max_of(pairwise_congestions(collection, ids)));
+    }
+    EXPECT_EQ(collection.path_congestion(std::vector<PathId>{}), 0u);
+  }
+}
+
+TEST(PathCongestionCache, AddInvalidates) {
+  const auto graph = chain(4);
+  PathCollection collection(graph);
+  collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(collection.path_congestion(), 0u);
+  collection.add(Path::from_nodes(*graph, std::vector<NodeId>{1, 2, 3}));
+  EXPECT_EQ(collection.path_congestion(), 1u);
+  collection.add(Path::from_nodes(*graph, std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(collection.path_congestion(), 2u);
+  EXPECT_EQ(collection.stats().path_congestion, 2u);
+}
+
+TEST(PathCongestionCache, CopyAndMoveAssignmentInvalidate) {
+  const auto graph = chain(4);
+  const std::vector<NodeId> nodes{0, 1, 2, 3};
+  PathCollection pair(graph);
+  PathCollection triple(graph);
+  for (int i = 0; i < 2; ++i) pair.add(Path::from_nodes(*graph, nodes));
+  for (int i = 0; i < 3; ++i) triple.add(Path::from_nodes(*graph, nodes));
+  ASSERT_EQ(pair.path_congestion(), 1u);
+  ASSERT_EQ(triple.path_congestion(), 2u);
+
+  PathCollection target = pair;
+  EXPECT_EQ(target.path_congestion(), 1u);
+  target = triple;
+  EXPECT_EQ(target.path_congestion(), 2u);
+  target = PathCollection(pair);
+  EXPECT_EQ(target.path_congestion(), 1u);
+  PathCollection moved_from = triple;
+  target = std::move(moved_from);
+  EXPECT_EQ(target.path_congestion(), 2u);
+  const PathCollection copy_constructed(target);
+  EXPECT_EQ(copy_constructed.path_congestion(), 2u);
+}
+
+TEST(PathCongestionCache, ConcurrentReadersSeeOneValue) {
+  Rng rng(9);
+  auto mesh = std::make_shared<MeshTopology>(make_mesh({12, 12}));
+  const PathCollection shared = mesh_random_function(mesh, rng);
+  const std::uint32_t expected = max_of(shared.path_congestions());
+  ThreadPool pool(4);
+  std::vector<std::uint32_t> seen(64, 0);
+  parallel_for(
+      0, seen.size(),
+      [&](std::size_t i) { seen[i] = shared.path_congestion(); }, &pool);
+  for (std::uint32_t value : seen) EXPECT_EQ(value, expected);
 }
 
 }  // namespace

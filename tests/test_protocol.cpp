@@ -165,6 +165,34 @@ TEST(Protocol, TracksCongestionDecay) {
               result.rounds[i - 1].active_congestion);
 }
 
+TEST(Protocol, TrackedCongestionEqualsCopiedActiveSubset) {
+  // E2-style staircases (serve-first, B=1, small fixed Δ). Each round's
+  // active C̃ must equal the C̃ of a fresh collection holding copies of the
+  // members still active when the round starts.
+  const auto collection = make_staircase_collection(48, 3, 14, 4);
+  auto config = base_config(1, 4);
+  config.track_congestion = true;
+  FixedSchedule schedule(8);
+  ProtocolSession session(collection, config, schedule, 22);
+  std::vector<PathId> active;
+  for (PathId id = 0; id < collection.size(); ++id) {
+    session.admit(id, id);
+    active.push_back(id);
+  }
+  std::uint32_t rounds = 0;
+  while (!active.empty() && rounds < config.max_rounds) {
+    PathCollection copied(collection.graph_ptr());
+    for (PathId id : active) copied.add(collection.path(id));
+    const RoundReport& report = session.step();
+    EXPECT_EQ(report.active_congestion, copied.path_congestion());
+    for (const auto& done : session.completed())
+      std::erase(active, static_cast<PathId>(done.tag));
+    ++rounds;
+  }
+  EXPECT_TRUE(active.empty());
+  EXPECT_GT(rounds, 1u);
+}
+
 TEST(Protocol, ZeroLengthPathsFinishInOneRound) {
   auto graph = std::make_shared<Graph>(3);
   graph->add_edge(0, 1);
