@@ -8,7 +8,7 @@
 //   schema          "opto.bench_record"
 //   schema_version  1
 //   label           slug naming the bench
-//   env             { git_sha, threads, obs, repro_scale }
+//   env             { git_sha, threads, obs, repro_scale, rng }
 //   annotations     { free-form string notes, e.g. base_seed }
 //   counters        { name: integer } — deterministic totals
 //   phases          { name: { calls, wall_ns, cpu_ns } }

@@ -59,6 +59,17 @@ bool enabled();
 /// compiled with OPTO_OBS_ENABLED=0, which never records).
 void set_enabled(bool on);
 
+// Counter and ScopedTimer differ between OPTO_OBS_ENABLED builds, and a
+// translation unit built with it off (test_obs_disabled) links against
+// the library built with it on. Distinct inline namespaces give the two
+// builds distinct symbols; under one name the linker could pair the empty
+// constructor with the recording destructor (an ODR violation).
+#if OPTO_OBS_ENABLED
+inline namespace recording {
+#else
+inline namespace compiled_out {
+#endif
+
 /// A named monotonic counter. Construction registers the name once (takes
 /// a lock); add() is a relaxed atomic increment behind the enabled()
 /// flag, so it is safe and cheap to call from pool threads.
@@ -116,6 +127,8 @@ class ScopedTimer {
   std::uint64_t cpu_start_ = 0;
 #endif
 };
+
+}  // inline namespace recording / compiled_out
 
 /// Free-form string note attached to the process snapshot (last write per
 /// key wins). Used for run parameters that are not counts: base seed,

@@ -1,96 +1,14 @@
-// Portable SIMD policy for the hot-loop kernels (sim/attempt_kernel.cpp).
-//
-// Three lane levels, selected in two stages (DESIGN.md §9):
-//
-//  * Compile time — OPTO_SIMD_LEVEL caps what gets *built*:
-//      0  portable scalar only (no intrinsics anywhere; the CI
-//         portable-scalar leg builds this on every PR)
-//      1  SSE2 kernels (baseline x86-64; vector arithmetic, scalar gathers)
-//      2  AVX2 kernels (gathers + 4x64/8x32 lanes)
-//    Unset, the level is derived from the target: __AVX2__ → 2 (the
-//    -march=x86-64-v3 leg), x86-64 → 1 (SSE2 is baseline), else 0. AVX2
-//    kernels are still *compiled* at level 1 via GCC/Clang target
-//    attributes and selected at runtime when the CPU supports them, so a
-//    default build gets full lane width without -march.
-//
-//  * Run time — the OPTO_SIMD environment variable caps what gets *used*:
-//    "0" forces the scalar kernels (the differential escape hatch the
-//    simd-diff CI job and the fuzz harness drive), "1" caps at SSE2, "2"
-//    (or unset) allows everything built and supported. The cap is read
-//    once and cached; per-simulator overrides go through SimConfig::simd
-//    instead, which the in-process differ uses since the env is sticky.
-//
-// Every kernel keeps a scalar implementation that is the semantic
-// reference: lane width must never change results, only wall clock. The
-// active level is logged into BenchRecord env blocks (obs/bench_record).
+// Compatibility shim for the benchmark driver (perfbench/optobench), which
+// still records a `simd_level` field in its reference output. The engine
+// has a single scalar attempt loop (DESIGN.md §9), so the level is always
+// "scalar". Nothing else includes this header; delete it together with
+// the benchmark's `simd_level` field.
 #pragma once
-
-#include <algorithm>
-#include <cstdlib>
-
-#ifndef OPTO_SIMD_LEVEL
-#if defined(__AVX2__)
-#define OPTO_SIMD_LEVEL 2
-#elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
-#define OPTO_SIMD_LEVEL 1
-#else
-#define OPTO_SIMD_LEVEL 0
-#endif
-#endif
 
 namespace opto::simd {
 
-inline constexpr int kLevelScalar = 0;
-inline constexpr int kLevelSse2 = 1;
-inline constexpr int kLevelAvx2 = 2;
+inline int active_level() { return 0; }
 
-/// The compile-time cap (what kernels exist in this binary).
-inline constexpr int kCompiledLevel = OPTO_SIMD_LEVEL;
-
-inline const char* level_name(int level) {
-  switch (level) {
-    case kLevelSse2:
-      return "sse2";
-    case kLevelAvx2:
-      return "avx2";
-    default:
-      return "scalar";
-  }
-}
-
-/// Highest level the executing CPU can run, ignoring caps. Compiled out
-/// to scalar at OPTO_SIMD_LEVEL 0 so the portable leg carries no
-/// intrinsics or cpuid probes at all.
-inline int cpu_level() {
-#if OPTO_SIMD_LEVEL >= 1 && (defined(__GNUC__) || defined(__clang__)) && \
-    (defined(__x86_64__) || defined(_M_X64))
-  return __builtin_cpu_supports("avx2") ? kLevelAvx2 : kLevelSse2;
-#else
-  return kLevelScalar;
-#endif
-}
-
-/// The OPTO_SIMD runtime cap: "0"/"1"/"2" as documented above, anything
-/// else (or unset) = no cap. Read once — the simulator layers its
-/// per-instance SimConfig::simd override on top of this.
-inline int env_cap() {
-  static const int cap = [] {
-    const char* env = std::getenv("OPTO_SIMD");
-    if (env == nullptr || env[0] == '\0') return kLevelAvx2;
-    if (env[0] == '0' && env[1] == '\0') return kLevelScalar;
-    if (env[0] == '1' && env[1] == '\0') return kLevelSse2;
-    return kLevelAvx2;
-  }();
-  return cap;
-}
-
-/// The lane level kernels actually dispatch to: min(CPU, env) — cpu_level
-/// is already scalar in a level-0 build, which contains no vector kernels.
-inline int active_level() {
-  static const int level = std::min(cpu_level(), env_cap());
-  return level;
-}
-
-inline bool enabled() { return active_level() > kLevelScalar; }
+inline const char* level_name(int /*level*/) { return "scalar"; }
 
 }  // namespace opto::simd

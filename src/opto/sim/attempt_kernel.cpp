@@ -2,60 +2,20 @@
 
 #include <bit>
 
-#include "opto/par/simd.hpp"
-
-#if OPTO_SIMD_LEVEL >= 1 && (defined(__x86_64__) || defined(_M_X64))
-#define OPTO_ATTEMPT_X86 1
-#include <immintrin.h>
-#else
-#define OPTO_ATTEMPT_X86 0
-#endif
-
 namespace opto::attempt {
 
-namespace {
-
-/// Lane dispatch floor for the auto (allow_simd) entry points: below this
-/// many elements the vector setup — gathers warming up, boundary lanes
-/// delegated to scalar — costs more than it saves, so small steps run the
-/// scalar reference outright. Purely a throughput heuristic: every level
-/// produces identical bytes, so the cutover can never change results.
-/// The level-pinned *_at_level entry points ignore it (differential tests
-/// must exercise the vector paths at every size).
-constexpr std::size_t kMinLaneElements = 512;
-
-// --- Scalar reference (the semantics; every lane level must match it) ---
-
-void build_keys_scalar(std::span<const WormId> ids,
-                       const std::uint32_t* cursor,
-                       const std::uint32_t* flat_keys,
-                       const std::uint32_t* wl, std::uint32_t merge_bit,
-                       unsigned id_bits, std::uint64_t* out) {
-  const std::size_t n = ids.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const WormId id = ids[i];
-    const std::uint32_t fk = flat_keys[cursor[id]];
-    const std::uint32_t key = fk | ((fk & merge_bit) != 0 ? 0u : wl[id]);
-    out[i] = (static_cast<std::uint64_t>(key) << id_bits) | id;
-  }
-}
-
-/// The scalar body over global positions [lo, hi) of the full key array —
-/// neighbor lookups stay global, so vector kernels can delegate their
-/// boundary lanes and tails without corrupting the singleton test at the
-/// sub-range edges.
-void prescan_scalar_range(std::span<const std::uint64_t> keys,
-                          std::size_t lo, std::size_t hi, unsigned id_bits,
-                          std::uint32_t merge_bit, std::uint32_t bandwidth,
-                          const std::uint32_t* epochs,
-                          std::uint32_t current_epoch,
-                          const SimTime* releases, SimTime now,
-                          std::uint8_t* mask) {
+void prescan_free_singletons(std::span<const std::uint64_t> keys,
+                             unsigned id_bits, std::uint32_t merge_bit,
+                             std::uint32_t bandwidth,
+                             const std::uint32_t* epochs,
+                             std::uint32_t current_epoch,
+                             const SimTime* releases, SimTime now,
+                             std::uint8_t* mask) {
   const std::size_t n = keys.size();
   const std::uint64_t wl_mask = merge_bit - 1;
   const unsigned link_shift =
       static_cast<unsigned>(std::countr_zero(merge_bit)) + 1;
-  for (std::size_t i = lo; i < hi; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t k = keys[i] >> id_bits;
     const bool singleton = (i == 0 || (keys[i - 1] >> id_bits) != k) &&
                            (i + 1 == n || (keys[i + 1] >> id_bits) != k);
@@ -70,316 +30,6 @@ void prescan_scalar_range(std::span<const std::uint64_t> keys,
     }
     mask[i] = flag;
   }
-}
-
-void prescan_scalar(std::span<const std::uint64_t> keys, unsigned id_bits,
-                    std::uint32_t merge_bit, std::uint32_t bandwidth,
-                    const std::uint32_t* epochs, std::uint32_t current_epoch,
-                    const SimTime* releases, SimTime now,
-                    std::uint8_t* mask) {
-  prescan_scalar_range(keys, 0, keys.size(), id_bits, merge_bit, bandwidth,
-                       epochs, current_epoch, releases, now, mask);
-}
-
-#if OPTO_ATTEMPT_X86
-
-// --- SSE2 ---------------------------------------------------------------
-// Baseline x86-64 has no gathers and no 64-bit compares, so these kernels
-// vectorize the arithmetic over scalar-gathered lanes (build) and the
-// neighbor equality over loaded lanes (prescan); the registry check stays
-// scalar per candidate. The win is modest by design — AVX2 below is the
-// fast path — but the code path is distinct, which is what the lane-width
-// differential tests exercise.
-
-void build_keys_sse2(std::span<const WormId> ids, const std::uint32_t* cursor,
-                     const std::uint32_t* flat_keys, const std::uint32_t* wl,
-                     std::uint32_t merge_bit, unsigned id_bits,
-                     std::uint64_t* out) {
-  const std::size_t n = ids.size();
-  const __m128i vmerge = _mm_set1_epi32(static_cast<int>(merge_bit));
-  const __m128i vzero = _mm_setzero_si128();
-  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(id_bits));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vids =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids.data() + i));
-    const __m128i vfk =
-        _mm_set_epi32(static_cast<int>(flat_keys[cursor[ids[i + 3]]]),
-                      static_cast<int>(flat_keys[cursor[ids[i + 2]]]),
-                      static_cast<int>(flat_keys[cursor[ids[i + 1]]]),
-                      static_cast<int>(flat_keys[cursor[ids[i]]]));
-    const __m128i vwl = _mm_set_epi32(static_cast<int>(wl[ids[i + 3]]),
-                                      static_cast<int>(wl[ids[i + 2]]),
-                                      static_cast<int>(wl[ids[i + 1]]),
-                                      static_cast<int>(wl[ids[i]]));
-    const __m128i keep_wl =
-        _mm_cmpeq_epi32(_mm_and_si128(vfk, vmerge), vzero);
-    const __m128i vkey = _mm_or_si128(vfk, _mm_and_si128(vwl, keep_wl));
-    // Widen the 4 x u32 (key, id) pairs to u64 words: interleave with
-    // zeros for the unsigned extension, shift keys into place, OR ids.
-    const __m128i key_lo = _mm_unpacklo_epi32(vkey, vzero);
-    const __m128i key_hi = _mm_unpackhi_epi32(vkey, vzero);
-    const __m128i id_lo = _mm_unpacklo_epi32(vids, vzero);
-    const __m128i id_hi = _mm_unpackhi_epi32(vids, vzero);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_or_si128(_mm_sll_epi64(key_lo, shift), id_lo));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 2),
-                     _mm_or_si128(_mm_sll_epi64(key_hi, shift), id_hi));
-  }
-  if (i < n)
-    build_keys_scalar(ids.subspan(i), cursor, flat_keys, wl, merge_bit,
-                      id_bits, out + i);
-}
-
-/// 64-bit lane equality out of SSE2's 32-bit compare: both halves must
-/// match.
-inline __m128i eq64_sse2(__m128i a, __m128i b) {
-  const __m128i eq32 = _mm_cmpeq_epi32(a, b);
-  return _mm_and_si128(
-      eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-}
-
-void prescan_sse2(std::span<const std::uint64_t> keys, unsigned id_bits,
-                  std::uint32_t merge_bit, std::uint32_t bandwidth,
-                  const std::uint32_t* epochs, std::uint32_t current_epoch,
-                  const SimTime* releases, SimTime now, std::uint8_t* mask) {
-  const std::size_t n = keys.size();
-  if (n < 4) {
-    prescan_scalar(keys, id_bits, merge_bit, bandwidth, epochs,
-                   current_epoch, releases, now, mask);
-    return;
-  }
-  const std::uint64_t wl_mask = merge_bit - 1;
-  const unsigned link_shift =
-      static_cast<unsigned>(std::countr_zero(merge_bit)) + 1;
-  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(id_bits));
-  const __m128i vmerge =
-      _mm_set1_epi64x(static_cast<long long>(merge_bit));
-  const __m128i vzero = _mm_setzero_si128();
-  const auto check_free = [&](std::uint64_t k) -> std::uint8_t {
-    const std::size_t channel =
-        static_cast<std::size_t>(k >> link_shift) * bandwidth +
-        static_cast<std::size_t>(k & wl_mask);
-    return (epochs[channel] != current_epoch || releases[channel] <= now)
-               ? 1
-               : 0;
-  };
-  // Lane 0 and the tail (which needs keys[i+1] past the block) go scalar.
-  prescan_scalar_range(keys, 0, 1, id_bits, merge_bit, bandwidth, epochs,
-                       current_epoch, releases, now, mask);
-  std::size_t i = 1;
-  for (; i + 2 <= n - 1; i += 2) {
-    const __m128i prev = _mm_srl_epi64(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(keys.data() + i - 1)),
-        shift);
-    const __m128i cur = _mm_srl_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys.data() + i)),
-        shift);
-    const __m128i next = _mm_srl_epi64(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(keys.data() + i + 1)),
-        shift);
-    const __m128i repeated =
-        _mm_or_si128(eq64_sse2(cur, prev), eq64_sse2(cur, next));
-    const __m128i fixed =
-        eq64_sse2(_mm_and_si128(cur, vmerge), vzero);  // merge bit clear
-    const __m128i candidate = _mm_andnot_si128(repeated, fixed);
-    const int mm = _mm_movemask_pd(_mm_castsi128_pd(candidate));
-    mask[i] = (mm & 1) != 0 ? check_free(keys[i] >> id_bits) : 0;
-    mask[i + 1] =
-        (mm & 2) != 0 ? check_free(keys[i + 1] >> id_bits) : 0;
-  }
-  prescan_scalar_range(keys, i, n, id_bits, merge_bit, bandwidth, epochs,
-                       current_epoch, releases, now, mask);
-}
-
-// --- AVX2 ---------------------------------------------------------------
-// Compiled with a target attribute so default (no -march) builds still
-// carry it; dispatch guards on simd::cpu_level().
-
-__attribute__((target("avx2"))) void build_keys_avx2(
-    std::span<const WormId> ids, const std::uint32_t* cursor,
-    const std::uint32_t* flat_keys, const std::uint32_t* wl,
-    std::uint32_t merge_bit, unsigned id_bits, std::uint64_t* out) {
-  const std::size_t n = ids.size();
-  const __m256i vmerge = _mm256_set1_epi32(static_cast<int>(merge_bit));
-  const __m256i vzero = _mm256_setzero_si256();
-  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(id_bits));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vids = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(ids.data() + i));
-    const __m256i vcur = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(cursor), vids, 4);
-    const __m256i vfk = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(flat_keys), vcur, 4);
-    const __m256i vwl =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(wl), vids, 4);
-    const __m256i keep_wl =
-        _mm256_cmpeq_epi32(_mm256_and_si256(vfk, vmerge), vzero);
-    const __m256i vkey =
-        _mm256_or_si256(vfk, _mm256_and_si256(vwl, keep_wl));
-    const __m256i key_lo =
-        _mm256_cvtepu32_epi64(_mm256_castsi256_si128(vkey));
-    const __m256i key_hi =
-        _mm256_cvtepu32_epi64(_mm256_extracti128_si256(vkey, 1));
-    const __m256i id_lo =
-        _mm256_cvtepu32_epi64(_mm256_castsi256_si128(vids));
-    const __m256i id_hi =
-        _mm256_cvtepu32_epi64(_mm256_extracti128_si256(vids, 1));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_or_si256(_mm256_sll_epi64(key_lo, shift), id_lo));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i + 4),
-        _mm256_or_si256(_mm256_sll_epi64(key_hi, shift), id_hi));
-  }
-  if (i < n)
-    build_keys_scalar(ids.subspan(i), cursor, flat_keys, wl, merge_bit,
-                      id_bits, out + i);
-}
-
-__attribute__((target("avx2"))) void prescan_avx2(
-    std::span<const std::uint64_t> keys, unsigned id_bits,
-    std::uint32_t merge_bit, std::uint32_t bandwidth,
-    const std::uint32_t* epochs, std::uint32_t current_epoch,
-    const SimTime* releases, SimTime now, std::uint8_t* mask) {
-  const std::size_t n = keys.size();
-  if (n < 6) {
-    prescan_scalar(keys, id_bits, merge_bit, bandwidth, epochs,
-                   current_epoch, releases, now, mask);
-    return;
-  }
-  const unsigned link_shift =
-      static_cast<unsigned>(std::countr_zero(merge_bit)) + 1;
-  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(id_bits));
-  const __m128i wl_shift = _mm_cvtsi32_si128(static_cast<int>(link_shift));
-  const __m256i vmerge =
-      _mm256_set1_epi64x(static_cast<long long>(merge_bit));
-  const __m256i vwl_mask =
-      _mm256_set1_epi64x(static_cast<long long>(merge_bit) - 1);
-  const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vepoch =
-      _mm256_set1_epi64x(static_cast<long long>(current_epoch));
-  const __m256i vnow = _mm256_set1_epi64x(static_cast<long long>(now));
-  const __m256i vbw = _mm256_set1_epi64x(static_cast<long long>(bandwidth));
-  // Lane 0 and the tail (whose lookahead would run off the array) go
-  // scalar; the vector body covers i ∈ [1, n−1) four lanes at a time.
-  prescan_scalar_range(keys, 0, 1, id_bits, merge_bit, bandwidth, epochs,
-                       current_epoch, releases, now, mask);
-  std::size_t i = 1;
-  for (; i + 4 <= n - 1; i += 4) {
-    const __m256i prev = _mm256_srl_epi64(
-        _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(keys.data() + i - 1)),
-        shift);
-    const __m256i cur = _mm256_srl_epi64(
-        _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(keys.data() + i)),
-        shift);
-    const __m256i next = _mm256_srl_epi64(
-        _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(keys.data() + i + 1)),
-        shift);
-    const __m256i repeated = _mm256_or_si256(_mm256_cmpeq_epi64(cur, prev),
-                                             _mm256_cmpeq_epi64(cur, next));
-    const __m256i fixed =
-        _mm256_cmpeq_epi64(_mm256_and_si256(cur, vmerge), vzero);
-    const __m256i candidate = _mm256_andnot_si256(repeated, fixed);
-    // Channel = link * bandwidth + wavelength. Every lane's key is real,
-    // so the index is in bounds whether or not the lane is a candidate —
-    // the gathers can run unmasked.
-    const __m256i channel = _mm256_add_epi64(
-        _mm256_mul_epu32(_mm256_srl_epi64(cur, wl_shift), vbw),
-        _mm256_and_si256(cur, vwl_mask));
-    const __m128i ep32 = _mm256_i64gather_epi32(
-        reinterpret_cast<const int*>(epochs), channel, 4);
-    const __m256i rel = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(releases), channel, 8);
-    const __m256i occupied = _mm256_and_si256(
-        _mm256_cmpeq_epi64(_mm256_cvtepu32_epi64(ep32), vepoch),
-        _mm256_cmpgt_epi64(rel, vnow));
-    const __m256i admit = _mm256_andnot_si256(occupied, candidate);
-    const int mm = _mm256_movemask_pd(_mm256_castsi256_pd(admit));
-    mask[i] = static_cast<std::uint8_t>(mm & 1);
-    mask[i + 1] = static_cast<std::uint8_t>((mm >> 1) & 1);
-    mask[i + 2] = static_cast<std::uint8_t>((mm >> 2) & 1);
-    mask[i + 3] = static_cast<std::uint8_t>((mm >> 3) & 1);
-  }
-  prescan_scalar_range(keys, i, n, id_bits, merge_bit, bandwidth, epochs,
-                       current_epoch, releases, now, mask);
-}
-
-#endif  // OPTO_ATTEMPT_X86
-
-}  // namespace
-
-int build_keys_at_level(int level, std::span<const WormId> ids,
-                        const std::uint32_t* cursor,
-                        const std::uint32_t* flat_keys,
-                        const std::uint32_t* wl, std::uint32_t merge_bit,
-                        unsigned id_bits, std::uint64_t* out) {
-#if OPTO_ATTEMPT_X86
-  if (level >= simd::kLevelAvx2 && simd::cpu_level() >= simd::kLevelAvx2) {
-    build_keys_avx2(ids, cursor, flat_keys, wl, merge_bit, id_bits, out);
-    return simd::kLevelAvx2;
-  }
-  if (level >= simd::kLevelSse2) {
-    build_keys_sse2(ids, cursor, flat_keys, wl, merge_bit, id_bits, out);
-    return simd::kLevelSse2;
-  }
-#else
-  (void)level;
-#endif
-  build_keys_scalar(ids, cursor, flat_keys, wl, merge_bit, id_bits, out);
-  return simd::kLevelScalar;
-}
-
-int prescan_at_level(int level, std::span<const std::uint64_t> keys,
-                     unsigned id_bits, std::uint32_t merge_bit,
-                     std::uint32_t bandwidth, const std::uint32_t* epochs,
-                     std::uint32_t current_epoch, const SimTime* releases,
-                     SimTime now, std::uint8_t* mask) {
-#if OPTO_ATTEMPT_X86
-  if (level >= simd::kLevelAvx2 && simd::cpu_level() >= simd::kLevelAvx2) {
-    prescan_avx2(keys, id_bits, merge_bit, bandwidth, epochs, current_epoch,
-                 releases, now, mask);
-    return simd::kLevelAvx2;
-  }
-  if (level >= simd::kLevelSse2) {
-    prescan_sse2(keys, id_bits, merge_bit, bandwidth, epochs, current_epoch,
-                 releases, now, mask);
-    return simd::kLevelSse2;
-  }
-#else
-  (void)level;
-#endif
-  prescan_scalar(keys, id_bits, merge_bit, bandwidth, epochs, current_epoch,
-                 releases, now, mask);
-  return simd::kLevelScalar;
-}
-
-void build_keys(std::span<const WormId> ids, const std::uint32_t* cursor,
-                const std::uint32_t* flat_keys, const std::uint32_t* wl,
-                std::uint32_t merge_bit, unsigned id_bits, bool allow_simd,
-                std::uint64_t* out) {
-  const bool lanes = allow_simd && ids.size() >= kMinLaneElements;
-  build_keys_at_level(lanes ? simd::active_level() : simd::kLevelScalar, ids,
-                      cursor, flat_keys, wl, merge_bit, id_bits, out);
-}
-
-void prescan_free_singletons(std::span<const std::uint64_t> keys,
-                             unsigned id_bits, std::uint32_t merge_bit,
-                             std::uint32_t bandwidth,
-                             const std::uint32_t* epochs,
-                             std::uint32_t current_epoch,
-                             const SimTime* releases, SimTime now,
-                             bool allow_simd, std::uint8_t* mask) {
-  const bool lanes = allow_simd && keys.size() >= kMinLaneElements;
-  prescan_at_level(lanes ? simd::active_level() : simd::kLevelScalar, keys,
-                   id_bits, merge_bit, bandwidth, epochs, current_epoch,
-                   releases, now, mask);
 }
 
 }  // namespace opto::attempt

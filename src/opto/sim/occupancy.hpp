@@ -30,9 +30,9 @@
 // construction), clear() stays O(1) via the same epoch trick, and sweeps
 // become no-ops (slots are fixed, expiry is judged at read time). The
 // simulator switches a registry to dense per topology; the choice never
-// depends on execution mode, so instrumentation stays comparable across
-// SIMD/threading knobs (DESIGN.md §9). The release array is exposed
-// read-only for the vectorized attempt prescan.
+// depends on the thread count, so instrumentation stays comparable across
+// OPTO_THREADS (DESIGN.md §9). The epoch and release arrays are exposed
+// read-only for the attempt prescan (sim/attempt_kernel.hpp).
 #pragma once
 
 #include <cstdint>
@@ -169,8 +169,8 @@ class OccupancyRegistry {
   mutable Stats stats_;
 
   // Dense backend (active iff bandwidth_ != 0). d_release_ mirrors
-  // d_claim_[i].release in a contiguous array the SIMD prescan can gather
-  // from; claim()/shorten() keep the two in sync.
+  // d_claim_[i].release in a contiguous array the attempt prescan reads
+  // without touching the claims; claim()/shorten() keep the two in sync.
   std::uint32_t bandwidth_ = 0;
   std::vector<std::uint32_t> d_epoch_;
   std::vector<SimTime> d_release_;

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "opto/obs/obs.hpp"
-#include "opto/par/simd.hpp"
 #include "opto/sim/attempt_kernel.hpp"
 #include "opto/util/assert.hpp"
 #include "opto/util/timer.hpp"
@@ -130,8 +129,8 @@ Simulator::Simulator(const PathCollection& collection, SimConfig config)
   }
   // Direct-map the registry when the channel space is small enough to
   // afford the flat arrays. The decision depends only on topology and
-  // config — never on SIMD/threading knobs — so instrumentation stays
-  // comparable across execution modes.
+  // config — never on the thread count — so instrumentation counters are
+  // the same at every OPTO_THREADS.
   const std::size_t channels =
       static_cast<std::size_t>(collection.graph().link_count()) *
       config_.bandwidth;
@@ -155,7 +154,6 @@ Simulator::Simulator(const PathCollection& collection, SimConfig config)
           (link << (wl_bits + 1)) | (merges ? merge_bit_ : 0u);
     }
   }
-  simd_on_ = config_.simd != SimdMode::Off && simd::enabled();
 }
 
 bool Simulator::converts_at(NodeId node) const {
@@ -660,37 +658,24 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
              plan->coupler_down(collection_.graph().source(link), now);
     };
     if (packed_attempts) {
-      if (!faults_on) {
-        // Fault-free steps build every attempt word in SIMD lanes
-        // (attempt_kernel.hpp): one gather of the pre-baked link/merge
-        // half plus a masked OR of the wavelength per worm.
-        for ([[maybe_unused]] const WormId id : running_) {
-          OPTO_DASSERT(status_[id] == WormStatus::Running);
-          OPTO_DASSERT(worms_[id].entry_time(worms_[id].head_index) == now);
+      attempt_keys_.resize(running_.size());
+      std::size_t attempts = 0;
+      for (WormId id : running_) {
+        OPTO_DASSERT(status_[id] == WormStatus::Running);
+        OPTO_DASSERT(worms_[id].entry_time(worms_[id].head_index) == now);
+        const std::uint32_t pos = cursor_[id];
+        if (faults_on && fault_blocks_entry(flat_links_[pos])) {
+          fault_kill(id, flat_links_[pos], now);
+          continue;
         }
-        attempt_keys_.resize(running_.size());
-        attempt::build_keys(running_, cursor_.data(), flat_keys_.data(),
-                            wl_.data(), merge_bit_, id_bits, simd_on_,
-                            attempt_keys_.data());
-      } else {
-        attempt_keys_.clear();
-        for (WormId id : running_) {
-          OPTO_DASSERT(status_[id] == WormStatus::Running);
-          OPTO_DASSERT(worms_[id].entry_time(worms_[id].head_index) == now);
-          // Fault elimination interleaves with key build, so faulty
-          // passes keep the scalar loop (same key formula as the kernel).
-          const EdgeId link = flat_links_[cursor_[id]];
-          if (fault_blocks_entry(link)) {
-            fault_kill(id, link, now);
-            continue;
-          }
-          const std::uint32_t fk = flat_keys_[cursor_[id]];
-          const std::uint32_t key =
-              fk | ((fk & merge_bit_) != 0 ? 0u : wl_[id]);
-          attempt_keys_.push_back((static_cast<std::uint64_t>(key) << id_bits) |
-                                  id);
-        }
+        // One lookup of the pre-baked link/merge half plus a masked OR of
+        // the worm's wavelength (merge-keyed links group by link alone).
+        const std::uint32_t fk = flat_keys_[pos];
+        const std::uint32_t key = fk | ((fk & merge_bit_) != 0 ? 0u : wl_[id]);
+        attempt_keys_[attempts++] =
+            (static_cast<std::uint64_t>(key) << id_bits) | id;
       }
+      attempt_keys_.resize(attempts);
       // Small steps sort faster with introsort; large ones with the
       // byte-wise radix passes (the crossover is broad — anywhere in the
       // low hundreds behaves the same).
@@ -700,11 +685,9 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
         radix_sort(attempt_keys_, attempt_keys_scratch_, radix_passes);
       // Pre-screen the sorted words: a singleton fixed-wavelength group
       // whose channel is free in the dense registry admits immediately —
-      // no group build, no find(). Runs in every lane mode (the kernel
-      // dispatch handles the level), so metrics and traces are identical
-      // by construction; see prescan_free_singletons for the legality
-      // argument. Faulty passes skip it (stuck sentinels and down links
-      // need the resolvers), as do sparse-registry topologies.
+      // no group build, no find(); see prescan_free_singletons for the
+      // legality argument. Faulty passes skip it (stuck sentinels and down
+      // links need the resolvers), as do sparse-registry topologies.
       // Below a few dozen attempts the extra pass over the keys costs
       // about what the skipped find() calls save; the gate is a pure
       // throughput heuristic — the mask path and the group path produce
@@ -717,7 +700,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
         attempt::prescan_free_singletons(
             attempt_keys_, id_bits, merge_bit_, config_.bandwidth,
             registry_.dense_epochs(), registry_.epoch(),
-            registry_.dense_releases(), now, simd_on_, admit_mask_.data());
+            registry_.dense_releases(), now, admit_mask_.data());
       }
       for (std::size_t lo = 0; lo < attempt_keys_.size();) {
         const std::uint64_t key = attempt_keys_[lo] >> id_bits;

@@ -35,15 +35,6 @@
 
 namespace opto {
 
-/// Per-simulator override of the SIMD lane policy (par/simd.hpp). Auto
-/// follows the process-wide level (compile-time OPTO_SIMD_LEVEL capped by
-/// the OPTO_SIMD env var); Off pins this simulator to the scalar kernels
-/// regardless. Lane width never changes any output — worm outcomes, model
-/// metrics, instrumentation counters, and the raw trace are byte-identical
-/// across modes (the simd-diff CI job and differ stage 3 enforce this) —
-/// so Off exists for differential testing, not for correctness.
-enum class SimdMode : std::uint8_t { Auto, Off };
-
 /// Wavelength-conversion capability (§4 / the [11] comparator). The paper
 /// studies the conversion-free case; Full models converters at every
 /// router (Cypher et al.'s setting), Sparse models converters at selected
@@ -66,8 +57,6 @@ struct SimConfig {
   /// simulator. Null — or a disabled zero-fault plan — leaves every code
   /// path and outcome bit-identical to the fault-free engine.
   const FaultPlan* faults = nullptr;
-  /// Lane policy for the packed attempt kernels; see SimdMode.
-  SimdMode simd = SimdMode::Auto;
 };
 
 /// A (directed link, wavelength) channel held by an established
@@ -184,11 +173,9 @@ class Simulator {
   // the worm's wavelength; built only when the packed path applies
   // (link ids fit the budget). merge_bit_ = 1 << wl_bits, with
   // wl_bits = bit_width(bandwidth − 1) — the layout adapts to B, keeping
-  // radix passes minimal. simd_on_ folds SimConfig::simd into the
-  // process-wide lane level once.
+  // radix passes minimal.
   std::vector<std::uint32_t> flat_keys_;
   std::uint32_t merge_bit_ = 0x10000u;
-  bool simd_on_ = false;
 
   // Pass-state scratch, hoisted so repeated run() calls reuse capacity
   // (zero steady-state allocation across protocol rounds). All of it is
@@ -217,7 +204,7 @@ class Simulator {
   // these flat arrays.
   std::vector<std::uint32_t> cursor_;
   std::vector<std::uint32_t> cursor_end_;
-  std::vector<std::uint32_t> wl_;  ///< widened for 32-bit SIMD gathers
+  std::vector<std::uint32_t> wl_;
   std::vector<WormStatus> status_;
 };
 

@@ -3,21 +3,18 @@
 // Every case gets, in order:
 //  1. a structural well-formedness check (hostile repro files fail here
 //     with a message instead of tripping an engine assert);
-//  2. two independent production Simulator runs, compared bit-for-bit —
-//     the engine must be deterministic for replay to mean anything;
-//  3. a scalar-vs-SIMD comparison (SimConfig::simd = Off forced against
-//     the process default), compared bit-for-bit including the engine's
-//     instrumentation counters and the raw trace order — lane width must
-//     never change a single byte (attempt_kernel.hpp contract);
-//  4. the validate.hpp invariant checkers (conservation, finish-time
+//  2. two independent production Simulator runs, compared bit-for-bit
+//     (instrumentation counters and the raw trace order included) — the
+//     engine must be deterministic for replay to mean anything;
+//  3. the validate.hpp invariant checkers (conservation, finish-time
 //     windows, witnesses, trace-based occupancy disjointness);
-//  5. when the case carries no *enabled* fault plan: a field-for-field
+//  4. when the case carries no *enabled* fault plan: a field-for-field
 //     comparison against the first-principles reference engine
-//     (reference_run models no faults, so faulty cases stop at 2–4 —
-//     a case whose fault plan has all-zero rates still reaches 5,
+//     (reference_run models no faults, so faulty cases stop at 2–3 —
+//     a case whose fault plan has all-zero rates still reaches 4,
 //     which pins the "disabled plan is bit-identical to no plan"
 //     contract);
-//  6. an RWA strategy stage: the case's path endpoints become requests
+//  5. an RWA strategy stage: the case's path endpoints become requests
 //     and every rwa/ strategy routes them — a manual replay checks each
 //     accepted decision (routes connect source to destination, every λ
 //     is inside the band, no two accepted routes share a (link, λ)
@@ -37,8 +34,7 @@ namespace opto::testlib {
 
 struct DiffReport {
   /// Human-readable disagreements, each prefixed with its source: [case],
-  /// [determinism], [simd], [validate], [occupancy], [reference], or
-  /// [rwa].
+  /// [determinism], [validate], [occupancy], [reference], or [rwa].
   std::vector<std::string> issues;
   /// Production-engine metrics of the run (zeroed when the case never
   /// built); lets callers select cases by behavior without re-running.

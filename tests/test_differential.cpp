@@ -2,7 +2,9 @@
 // reference engine, which recomputes occupancy from first principles.
 // Every worm's status, finish time, blocker, and truncation flag — and
 // all pass metrics — must agree exactly, across rules, tie policies,
-// bandwidths, worm lengths, and workload families.
+// bandwidths, worm lengths, and workload families. Rings at 2^15
+// directed links also pit the engine's two attempt-key layouts (packed
+// words, wide pairs) against the reference and against each other.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,12 +12,14 @@
 
 #include "opto/graph/butterfly.hpp"
 #include "opto/graph/mesh.hpp"
+#include "opto/graph/ring.hpp"
 #include "opto/paths/butterfly_paths.hpp"
 #include "opto/paths/lowerbound_structures.hpp"
 #include "opto/paths/workloads.hpp"
 #include "opto/rng/rng.hpp"
 #include "opto/sim/reference.hpp"
 #include "opto/sim/simulator.hpp"
+#include "opto/sim/validate.hpp"
 
 namespace opto {
 namespace {
@@ -50,6 +54,7 @@ void expect_equivalent(const PathCollection& collection,
   EXPECT_EQ(a.metrics.truncated_arrivals, b.metrics.truncated_arrivals)
       << context;
   EXPECT_EQ(a.metrics.contentions, b.metrics.contentions) << context;
+  EXPECT_EQ(a.metrics.retunes, b.metrics.retunes) << context;
   EXPECT_EQ(a.metrics.worm_steps, b.metrics.worm_steps) << context;
   EXPECT_EQ(a.metrics.makespan, b.metrics.makespan) << context;
 }
@@ -70,6 +75,28 @@ std::vector<LaunchSpec> random_specs(const PathCollection& collection,
     specs[id].length = length;
   }
   return specs;
+}
+
+/// Node lists of `count` random walks along a ring of `ring` nodes: each
+/// starts at one of `window` consecutive nodes from `first` (wrapping),
+/// heads either way, and takes 2–12 hops — short enough to stay simple,
+/// crowded enough that walks meet head-on and share links.
+std::vector<std::vector<NodeId>> ring_walks(std::uint32_t ring,
+                                            std::uint32_t first,
+                                            std::uint32_t window,
+                                            std::size_t count, Rng& rng) {
+  std::vector<std::vector<NodeId>> walks(count);
+  for (auto& nodes : walks) {
+    NodeId node = (first + static_cast<NodeId>(rng.next_below(window))) % ring;
+    const bool clockwise = rng.next_below(2) == 0;
+    const auto hops = static_cast<std::uint32_t>(rng.next_in(2, 12));
+    nodes.push_back(node);
+    for (std::uint32_t h = 0; h < hops; ++h) {
+      node = clockwise ? (node + 1) % ring : (node + ring - 1) % ring;
+      nodes.push_back(node);
+    }
+  }
+  return walks;
 }
 
 using Params = std::tuple<ContentionRule, TiePolicy, int, int>;
@@ -140,6 +167,104 @@ TEST_P(Differential, TightPackedBundle) {
         random_specs(collection, config().bandwidth, length(), 3, rng);
     expect_equivalent(collection, config(), specs,
                       "bundle seed " + std::to_string(seed));
+  }
+}
+
+TEST_P(Differential, WideKeyRings) {
+  // Link ids from 2^15 up take the wide (key, worm) attempt path. 16384
+  // nodes give exactly 2^15 directed links; 40000 put link ids past 16
+  // bits and, for B ≥ 2, the channel space past the dense registry. The
+  // walks cross the highest-numbered links (the n−1 → 0 wrap and its
+  // reverse), without and with Full conversion (merge-keyed groups).
+  for (const std::uint32_t ring : {16384u, 40000u}) {
+    const auto graph = std::make_shared<const Graph>(make_ring(ring));
+    ASSERT_GE(graph->link_count(), EdgeId{1} << 15);
+    for (const ConversionMode conversion :
+         {ConversionMode::None, ConversionMode::Full}) {
+      SimConfig cfg = config();
+      cfg.conversion = conversion;
+      cfg.record_trace = true;
+      std::uint64_t contentions = 0;
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(400 + seed);
+        const auto collection = collection_from_node_lists(
+            graph, ring_walks(ring, ring - 20, 40, 24, rng));
+        const auto specs =
+            random_specs(collection, cfg.bandwidth, length(), 6, rng);
+        const std::string context = "ring " + std::to_string(ring) + " " +
+                                    to_string(conversion) + " seed " +
+                                    std::to_string(seed);
+        expect_equivalent(collection, cfg, specs, context);
+        const PassResult result = Simulator(collection, cfg).run(specs);
+        EXPECT_TRUE(validate_pass(collection, cfg, specs, result).ok())
+            << context;
+        EXPECT_TRUE(validate_occupancy(collection, specs, result).ok())
+            << context;
+        contentions += result.metrics.contentions;
+      }
+      // The walks must actually contend, or the comparison is vacuous.
+      EXPECT_GT(contentions, 0u) << "ring " << ring;
+    }
+  }
+}
+
+TEST_P(Differential, PackedAndWideKeysAgree) {
+  // The same walks on a ring one node below the boundary (2^15 − 2
+  // links, packed words) and on one at it (2^15 links, wide pairs): away
+  // from the wrap every link keeps its id, so the two passes must agree
+  // on every outcome and counter — registry probes included, since the
+  // packed path's prescan accounts for the lookups it skips. 48 walks
+  // keep more than 32 attempts in flight, so the prescan engages.
+  const auto packed_graph = std::make_shared<const Graph>(make_ring(16383));
+  const auto wide_graph = std::make_shared<const Graph>(make_ring(16384));
+  for (const ConversionMode conversion :
+       {ConversionMode::None, ConversionMode::Full}) {
+    SimConfig cfg = config();
+    cfg.conversion = conversion;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(500 + seed);
+      const auto walks = ring_walks(16383, 100, 60, 48, rng);
+      const auto packed_paths = collection_from_node_lists(packed_graph, walks);
+      const auto wide_paths = collection_from_node_lists(wide_graph, walks);
+      const auto specs =
+          random_specs(packed_paths, cfg.bandwidth, length(), 6, rng);
+      const std::string context =
+          std::string(to_string(conversion)) + " seed " + std::to_string(seed);
+      const PassResult a = Simulator(packed_paths, cfg).run(specs);
+      const PassResult b = Simulator(wide_paths, cfg).run(specs);
+
+      ASSERT_EQ(a.worms.size(), b.worms.size()) << context;
+      for (std::size_t i = 0; i < a.worms.size(); ++i) {
+        EXPECT_EQ(a.worms[i].status, b.worms[i].status)
+            << context << " worm " << i;
+        EXPECT_EQ(a.worms[i].truncated, b.worms[i].truncated)
+            << context << " worm " << i;
+        EXPECT_EQ(a.worms[i].finish_time, b.worms[i].finish_time)
+            << context << " worm " << i;
+        EXPECT_EQ(a.worms[i].blocked_at_link, b.worms[i].blocked_at_link)
+            << context << " worm " << i;
+        EXPECT_EQ(a.worms[i].blocked_by, b.worms[i].blocked_by)
+            << context << " worm " << i;
+      }
+      EXPECT_EQ(a.metrics.delivered, b.metrics.delivered) << context;
+      EXPECT_EQ(a.metrics.killed, b.metrics.killed) << context;
+      EXPECT_EQ(a.metrics.truncated, b.metrics.truncated) << context;
+      EXPECT_EQ(a.metrics.truncated_arrivals, b.metrics.truncated_arrivals)
+          << context;
+      EXPECT_EQ(a.metrics.contentions, b.metrics.contentions) << context;
+      EXPECT_EQ(a.metrics.retunes, b.metrics.retunes) << context;
+      EXPECT_EQ(a.metrics.makespan, b.metrics.makespan) << context;
+      EXPECT_EQ(a.metrics.worm_steps, b.metrics.worm_steps) << context;
+      EXPECT_EQ(a.metrics.link_busy_steps, b.metrics.link_busy_steps)
+          << context;
+      EXPECT_EQ(a.metrics.steps, b.metrics.steps) << context;
+      EXPECT_EQ(a.metrics.registry_probes, b.metrics.registry_probes)
+          << context;
+      EXPECT_EQ(a.metrics.registry_hits, b.metrics.registry_hits) << context;
+      EXPECT_EQ(a.metrics.peak_inflight, b.metrics.peak_inflight) << context;
+      EXPECT_EQ(a.wavelengths, b.wavelengths) << context;
+      EXPECT_GT(a.metrics.contentions, 0u) << context;
+    }
   }
 }
 

@@ -193,7 +193,8 @@ TEST_F(ObsTest, OnePassRecordsOnePassTimerCall) {
   const PassResult result = sim.run(specs);
   EXPECT_EQ(result.metrics.launched, specs.size());
 
-  const auto* pass = find_phase(obs::phases(), "sim.pass");
+  const auto phases = obs::phases();
+  const auto* pass = find_phase(phases, "sim.pass");
   ASSERT_NE(pass, nullptr);
   EXPECT_EQ(pass->calls, 1u);
   EXPECT_EQ(counter_value("sim.passes"), 1u);
