@@ -37,14 +37,27 @@ std::vector<std::uint32_t> assign_priorities(
     PriorityStrategy strategy, std::span<const PathId> active_paths,
     std::uint32_t total_paths, Rng& rng);
 
+/// Sort entry of the keyed variant: a member's drawn key, its uid (the
+/// tiebreak) and its index.
+struct RankKey {
+  std::uint64_t key = 0;
+  std::uint32_t uid = 0;
+  std::uint32_t member = 0;
+};
+
 /// Keyed variant for the protocol layer: RandomPermutation ranks members by
 /// their drawn u64 key (uid breaks the ~2^-64 collisions), so a member's
 /// rank is a pure function of the (seed, round) behind `rng` and the set of
 /// active uids — independent of member order, other draws, batching, and
-/// thread count. `uids` is parallel to `active_paths`.
-std::vector<std::uint32_t> assign_priorities(
-    PriorityStrategy strategy, std::span<const PathId> active_paths,
-    std::uint32_t total_paths, const CounterRng& rng,
-    std::span<const std::uint32_t> uids);
+/// thread count. `uids` is parallel to `active_paths` and pairwise
+/// distinct. The ranks are written to `ranks` (resized to the member
+/// count); `scratch` is sort space. A caller that keeps both across rounds
+/// allocates nothing once their capacity covers the member count.
+void assign_priorities(PriorityStrategy strategy,
+                       std::span<const PathId> active_paths,
+                       std::uint32_t total_paths, const CounterRng& rng,
+                       std::span<const std::uint32_t> uids,
+                       std::vector<std::uint32_t>& ranks,
+                       std::vector<RankKey>& scratch);
 
 }  // namespace opto

@@ -150,10 +150,9 @@ const RoundReport& ProtocolSession::step() {
   if (config_.track_congestion)
     report_.active_congestion = collection_.path_congestion(active_);
 
-  const auto ranks = assign_priorities(config_.priorities, active_,
-                                       static_cast<std::uint32_t>(
-                                           collection_.size()),
-                                       rng, uids_);
+  assign_priorities(config_.priorities, active_,
+                    static_cast<std::uint32_t>(collection_.size()), rng,
+                    uids_, ranks_, rank_scratch_);
 
   // Launch every member with a fresh random delay; the wavelength comes
   // from the chooser when one is installed (nullopt = sit this round
@@ -178,7 +177,7 @@ const RoundReport& ProtocolSession::step() {
     spec.path = active_[i];
     spec.start_time = start;
     spec.wavelength = *wavelength;
-    spec.priority = ranks[i];
+    spec.priority = ranks_[i];
     spec.length = config_.worm_length;
     member_spec_[i] = static_cast<std::uint32_t>(specs_.size());
     launcher_.push_back(static_cast<std::uint32_t>(i));
@@ -233,7 +232,7 @@ const RoundReport& ProtocolSession::step() {
       spec.wavelength = static_cast<Wavelength>(
           rng.below(config_.bandwidth, uids_[member],
                     CounterRng::kSlotAckWavelength));
-      spec.priority = ranks[member];
+      spec.priority = ranks_[member];
       spec.length = config_.ack_length;
       ack_specs_.push_back(spec);
       ack_owner_.push_back(member);

@@ -119,7 +119,7 @@ struct ProtocolResult {
 /// TrialAndFailure::run() below is a thin driver over this class and
 /// remains bit-identical to the pre-session implementation; the streaming
 /// engine (opto/engine) drives the same session with open arrivals,
-/// rolling admissions, held channels (set_pinned), and a first-fit
+/// rolling admissions, held channels (pin/unpin), and a first-fit
 /// wavelength chooser.
 ///
 /// Determinism: every draw of round t comes from the counter-based
@@ -173,13 +173,18 @@ class ProtocolSession {
     chooser_ = std::move(chooser);
   }
 
-  /// Held channels for the forward passes (Simulator::set_pinned); the
-  /// span is re-read every round, so the caller may mutate the vector
-  /// between steps. Acks are modelled on a separate band and are not
-  /// blocked by pinned message channels.
-  void set_pinned(std::span<const PinnedSlot> pinned) {
-    forward_sim_.set_pinned(pinned);
+  /// Held channels for the forward passes (Simulator::pin/unpin): a
+  /// pinned channel stays busy for every later step() until unpinned —
+  /// the engine pins a circuit once when it is established and unpins it
+  /// at teardown. Call between steps. Acks are modelled on a separate
+  /// band and are not blocked by pinned message channels.
+  void pin(EdgeId link, Wavelength wavelength) {
+    forward_sim_.pin(link, wavelength);
   }
+  void unpin(EdgeId link, Wavelength wavelength) {
+    forward_sim_.unpin(link, wavelength);
+  }
+
 
   /// Executes one protocol round over the current members. The returned
   /// report (valid until the next step) uses the session's global round
@@ -242,6 +247,8 @@ class ProtocolSession {
   RoundReport report_;
   PassResult forward_;
   PassResult ack_pass_;
+  std::vector<std::uint32_t> ranks_;  ///< member index → priority rank
+  std::vector<RankKey> rank_scratch_;
   std::vector<LaunchSpec> specs_;
   std::vector<std::uint32_t> launcher_;     ///< spec index → member index
   std::vector<std::uint32_t> member_spec_;  ///< member index → spec or none

@@ -81,7 +81,7 @@ struct Engine::Connection {
   std::uint64_t wall_start = 0;      ///< ns at admission
   std::uint32_t rounds_total = 0;    ///< setup rounds incl. readmissions
   bool measured = false;
-  std::vector<std::uint32_t> slots;  ///< indices into pinned_ while held
+  std::vector<PinnedSlot> channels;  ///< pinned while the circuit holds
 };
 
 namespace {
@@ -157,7 +157,7 @@ std::uint32_t Engine::acquire_connection(PathId path, bool measured) {
   connection.wall_start = wall_now_ns();
   connection.rounds_total = 0;
   connection.measured = measured;
-  connection.slots.clear();
+  connection.channels.clear();
   result_.peak_active =
       std::max(result_.peak_active,
                static_cast<std::uint64_t>(connections_.size()) -
@@ -234,41 +234,15 @@ std::optional<Wavelength> Engine::choose_wavelength(PathId path,
   }
 }
 
-void Engine::claim_channel(std::uint32_t id, EdgeId link,
-                           Wavelength wavelength) {
-  Connection& connection = connections_[id];
-  const auto slot = static_cast<std::uint32_t>(pinned_.size());
-  pinned_.push_back({link, wavelength});
-  pin_owner_.push_back(
-      {id, static_cast<std::uint32_t>(connection.slots.size())});
-  connection.slots.push_back(slot);
-  channel_busy_[static_cast<std::size_t>(link) *
-                    config_.protocol.bandwidth +
-                wavelength] = 1;
-}
-
 void Engine::release_channels(std::uint32_t id) {
   Connection& connection = connections_[id];
-  for (std::size_t k = 0; k < connection.slots.size(); ++k) {
-    const std::uint32_t slot = connection.slots[k];
-    const PinnedSlot& held = pinned_[slot];
+  for (const PinnedSlot& held : connection.channels) {
+    session_->unpin(held.link, held.wavelength);
     channel_busy_[static_cast<std::size_t>(held.link) *
                       config_.protocol.bandwidth +
                   held.wavelength] = 0;
-    const std::uint32_t last = static_cast<std::uint32_t>(pinned_.size()) - 1;
-    if (slot != last) {
-      // Swap-remove; re-point the moved slot's owner. A moved slot of
-      // THIS connection always sits at a not-yet-released position
-      // (released ones are already gone from pinned_).
-      pinned_[slot] = pinned_[last];
-      const PinOwner owner = pin_owner_[last];
-      pin_owner_[slot] = owner;
-      connections_[owner.connection].slots[owner.position] = slot;
-    }
-    pinned_.pop_back();
-    pin_owner_.pop_back();
   }
-  connection.slots.clear();
+  connection.channels.clear();
 }
 
 void Engine::finish(std::uint32_t id,
@@ -298,8 +272,14 @@ void Engine::finish(std::uint32_t id,
     session_->admit(connection.path, id);
     return;
   }
-  for (std::size_t k = 0; k < links.size(); ++k)
-    claim_channel(id, links[k], wavelength_on(k));
+  for (std::size_t k = 0; k < links.size(); ++k) {
+    const Wavelength wavelength = wavelength_on(k);
+    session_->pin(links[k], wavelength);
+    connection.channels.push_back({links[k], wavelength});
+    channel_busy_[static_cast<std::size_t>(links[k]) *
+                      config_.protocol.bandwidth +
+                  wavelength] = 1;
+  }
 
   const double hold = exponential(holding_, config_.mean_holding_time);
   departures_.push_back({now_ + hold, id});
@@ -319,7 +299,6 @@ void Engine::finish(std::uint32_t id,
 
 void Engine::run_round() {
   no_capacity_.clear();
-  session_->set_pinned({pinned_.data(), pinned_.size()});
   const RoundReport& report = session_->step();
   ++rounds_run_;
   (void)report;

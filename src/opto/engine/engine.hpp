@@ -6,8 +6,9 @@
 // traffic time (engine/traffic.hpp), join the *current* protocol batch,
 // and a ProtocolSession round runs every `round_interval` of traffic
 // time. An acknowledged setup converts into a held circuit — its
-// (link, wavelength) channels become pinned slots that later passes
-// treat as busy — for an exponential holding time, then tears down.
+// (link, wavelength) channels are pinned once in the forward simulator's
+// occupancy registry, so later passes treat them as busy — for an
+// exponential holding time, then tears down (unpinned once).
 //
 // Admission is loss-call-cleared (the Erlang/teletraffic convention): a
 // request whose route has no launchable wavelength at its first decision
@@ -113,7 +114,6 @@ class Engine {
   std::uint32_t acquire_connection(PathId path, bool measured);
   void release_connection(std::uint32_t id);
   std::optional<Wavelength> choose_wavelength(PathId path, std::uint64_t tag);
-  void claim_channel(std::uint32_t id, EdgeId link, Wavelength wavelength);
   void release_channels(std::uint32_t id);
   void run_round();
   void finish(std::uint32_t id, const ProtocolSession::Completion& done);
@@ -133,16 +133,9 @@ class Engine {
   Rng fit_;            ///< RandomFit draws (decision order)
   ArrivalGenerator arrivals_;
 
-  // Held circuits: one pinned slot per (link, wavelength) a circuit
-  // holds, fed to the session's forward passes. Slot release is O(1)
-  // swap-remove; pin_owner_ (parallel to pinned_) points back to the
-  // owning connection's slot list so moved slots can be re-indexed.
-  struct PinOwner {
-    std::uint32_t connection = 0;
-    std::uint32_t position = 0;  ///< index into Connection::slots
-  };
-  std::vector<PinnedSlot> pinned_;
-  std::vector<PinOwner> pin_owner_;
+  // Held circuits: each Connection lists the (link, wavelength) channels
+  // it pinned in the session; channel_busy_ mirrors them for the
+  // wavelength chooser.
   std::vector<char> channel_busy_;  ///< link·B + w, held circuits only
 
   // Connection table, ids recycled through a free list so its size is

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "opto/optical/worm.hpp"
 
@@ -41,16 +40,16 @@ struct Contender {
 
 struct ContentionOutcome {
   /// Entrant allowed onto the link; kInvalidWorm if none (all entrants
-  /// eliminated, occupant — if any — keeps flowing).
+  /// eliminated, occupant — if any — keeps flowing). Every entrant but
+  /// this one is eliminated.
   WormId admitted = kInvalidWorm;
   /// True iff the occupant lost to a higher-priority entrant and must be
   /// truncated at this coupler.
   bool occupant_truncated = false;
-  /// Entrants eliminated here.
-  std::vector<WormId> eliminated;
 };
 
-/// Resolves one (link, wavelength, time-step) contention.
+/// Resolves one (link, wavelength, time-step) contention, without
+/// allocating (it runs in the simulator's hot path).
 /// `occupant` is the worm currently flowing through the coupler on this
 /// wavelength, if any. `entrants` is nonempty. Under the priority rule all
 /// involved priorities must be pairwise distinct (the protocol guarantees

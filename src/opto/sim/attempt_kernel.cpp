@@ -24,7 +24,7 @@ void prescan_free_singletons(std::span<const std::uint64_t> keys,
       const std::size_t channel =
           static_cast<std::size_t>(k >> link_shift) * bandwidth +
           static_cast<std::size_t>(k & wl_mask);
-      flag = (epochs[channel] != current_epoch || releases[channel] <= now)
+      flag = (epochs[channel] < current_epoch || releases[channel] <= now)
                  ? 1
                  : 0;
     }

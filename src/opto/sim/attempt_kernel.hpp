@@ -20,7 +20,8 @@ namespace opto::attempt {
 
 /// Flags the sorted attempt words whose group is a singleton on a
 /// non-merge key whose channel is free in the dense registry at `now`
-/// (epoch mismatch or release ≤ now): mask[i] = 1 exactly for those, else
+/// (epoch below `current_epoch` or release ≤ now; a held channel's epoch
+/// is the top value, so it is never free): mask[i] = 1 exactly for those, else
 /// 0. The simulator admits flagged worms in place, skipping the group
 /// build and registry find — legal because a same-step truncation can
 /// never free a channel at `now` and distinct groups never share one, so

@@ -8,16 +8,30 @@
 // loser's surviving flits are strictly ahead of the winner's, so the link
 // is never double-booked — see the simulator's model notes).
 //
+// Two layers share the storage. Transient claims (worms of one pass,
+// stuck-wavelength sentinels) live until the next clear(). Held channels
+// (pin()/unpin(): the streaming engine's established circuits) carry the
+// reserved epoch kHeldEpoch, the top epoch value, which clear() never
+// reaches — so a slot is live iff its epoch is ≥ the current epoch, one
+// compare for both layers, and a held channel is pinned once per circuit
+// instead of being re-claimed every pass. A held slot is a permanent
+// occupant (worm = kPinnedWorm, top priority, never released) that claim()
+// never overwrites.
+//
 // Storage is a flat, open-addressed hash table (linear probing) keyed by
 // the packed (link << 16) | wavelength word the simulator already computes
 // per attempt. Design notes:
 //  * clear() is O(1): slots carry an epoch stamp and a bumped epoch makes
-//    every slot read as empty, so per-pass reset costs nothing even when
-//    the table grew large on a previous pass.
+//    every transient slot read as empty, so per-pass reset costs nothing
+//    even when the table grew large on a previous pass.
 //  * Probe chains are never broken: swept entries become tombstones (kept
 //    non-empty for lookups) and are recycled by later insertions; a live
 //    entry whose release is ≤ the inserting claim's entry time is equally
-//    recyclable, since occupant() already treats it as absent.
+//    recyclable, since occupant() already treats it as absent. A held key
+//    sits at the end of a run of held slots from its bucket (pin() drops
+//    the transient layer first; grow() re-inserts held keys first), so
+//    clear() never cuts a held key off from its bucket; an unpinned slot
+//    stays behind as a held tombstone that only a later pin() recycles.
 //  * sweep_step() retires expired claims incrementally (a bounded slot
 //    window per call) instead of a stop-the-world scan, so long passes pay
 //    a constant per-step GC cost with no periodic latency spike.
@@ -55,6 +69,9 @@ struct Claim {
 
 class OccupancyRegistry {
  public:
+  /// Epoch stamp of a held slot; clear() wraps before reaching it.
+  static constexpr std::uint32_t kHeldEpoch = ~std::uint32_t{0};
+
   struct Stats {
     std::uint64_t probes = 0;  ///< slots inspected across all lookups
     std::uint64_t hits = 0;    ///< lookups that found a live occupant
@@ -69,10 +86,10 @@ class OccupancyRegistry {
   void use_dense(std::size_t link_count, std::uint32_t bandwidth);
   bool dense() const { return bandwidth_ != 0; }
 
-  /// Dense-backend internals for the simulator's vectorized free-channel
-  /// prescan (attempt_kernel.cpp): a channel is free at `now` iff its
-  /// epoch differs from epoch() or its release is ≤ now. Null/0 under the
-  /// hash backend.
+  /// Dense-backend internals for the simulator's free-channel prescan
+  /// (attempt_kernel.cpp): a channel is free at `now` iff its epoch is
+  /// below epoch() or its release is ≤ now. Null/0 under the hash
+  /// backend.
   const std::uint32_t* dense_epochs() const {
     return dense() ? d_epoch_.data() : nullptr;
   }
@@ -99,21 +116,41 @@ class OccupancyRegistry {
   std::optional<Claim> occupant(EdgeId link, Wavelength wavelength,
                                 SimTime now) const;
 
-  /// Records/overwrites the claim for (link, wavelength).
+  /// Records/overwrites the claim for (link, wavelength). A held channel
+  /// is left as it is: the held occupant shadows the new claim.
   void claim(EdgeId link, Wavelength wavelength, const Claim& claim);
 
   /// Caps the release time of `worm`'s claim on (link, wavelength) at
-  /// `new_release` (no-op if the key is now owned by another worm or the
-  /// claim already releases earlier; a cap below the entry time clamps to
-  /// it). Returns the busy steps trimmed.
+  /// `new_release` (no-op if the key is now owned by another worm, is
+  /// held, or the claim already releases earlier; a cap below the entry
+  /// time clamps to it). Returns the busy steps trimmed.
   SimTime shorten(EdgeId link, Wavelength wavelength, WormId worm,
                   SimTime new_release);
 
-  /// Forgets every claim. O(1): bumps the slot epoch.
+  /// Forgets every transient claim; held channels stay. O(1): bumps the
+  /// slot epoch.
   void clear();
 
-  /// Stored claims (live entries, expired-but-unswept included; under the
-  /// dense backend: slots claimed since the last clear, expired included).
+  /// Holds (link, wavelength) until unpin(): a permanent occupant with
+  /// worm = kPinnedWorm, top priority and a release that never comes,
+  /// which clear() keeps. Pinning a held channel again is a no-op (pins
+  /// do not nest). Call between passes: transient claims may not survive
+  /// (the hash backend drops them, as clear() would).
+  void pin(EdgeId link, Wavelength wavelength);
+
+  /// Frees a held channel; a no-op if (link, wavelength) is not held.
+  /// Transient claims survive.
+  void unpin(EdgeId link, Wavelength wavelength);
+
+  /// Frees every held channel. Call between passes, like pin().
+  void unpin_all();
+
+  /// Held channels currently pinned.
+  std::size_t held() const { return held_live_; }
+
+  /// Stored claims, held channels included (live entries, expired-but-
+  /// unswept included; under the dense backend: slots claimed since the
+  /// last clear, expired included).
   std::size_t size() const { return live_; }
   std::size_t capacity() const {
     return dense() ? d_claim_.size() : slots_.size();
@@ -131,12 +168,19 @@ class OccupancyRegistry {
   void reset_stats() { stats_ = Stats{}; }
 
  private:
+  friend struct OccupancyTestPeer;  // sets the epoch to test its wrap
+
   struct Slot {
     std::uint64_t key = 0;
     Claim claim;
-    std::uint32_t epoch = 0;  ///< in use iff equal to the registry epoch
+    /// In use iff ≥ the registry epoch: equal for a transient claim,
+    /// kHeldEpoch for a held channel.
+    std::uint32_t epoch = 0;
     bool dead = false;        ///< swept tombstone (keeps chains intact)
   };
+
+  /// The claim every held slot carries.
+  static Claim held_claim();
 
   static std::uint64_t pack(EdgeId link, Wavelength wavelength) {
     return (static_cast<std::uint64_t>(link) << 16) | wavelength;
@@ -164,6 +208,8 @@ class OccupancyRegistry {
   std::size_t mask_ = 0;
   std::size_t live_ = 0;      ///< live entries (what size() reports)
   std::size_t used_ = 0;      ///< live + tombstones (load-factor input)
+  std::size_t held_live_ = 0;  ///< held channels (part of live_)
+  std::size_t held_used_ = 0;  ///< held slots incl. held tombstones
   std::uint32_t epoch_ = 1;
   std::size_t sweep_cursor_ = 0;
   mutable Stats stats_;

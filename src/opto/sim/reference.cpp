@@ -222,7 +222,9 @@ PassResult reference_run(const PathCollection& collection,
         resolve_contention(config.rule, config.tie, occupant_contender,
                            contenders);
     if (outcome.occupant_truncated) cut(occupant->first, occupant->second);
-    for (const WormId loser : outcome.eliminated) {
+    for (const Attempt& attempt : group) {
+      const WormId loser = attempt.worm;
+      if (loser == outcome.admitted) continue;
       WormId blocker = kInvalidWorm;
       if (occupant.has_value())
         blocker = occupant->first;

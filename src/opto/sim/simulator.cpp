@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "opto/obs/obs.hpp"
 #include "opto/sim/attempt_kernel.hpp"
@@ -224,6 +225,23 @@ void Simulator::apply_truncation(WormId victim, std::uint32_t cut_link_index,
   }
 }
 
+void Simulator::pin(EdgeId link, Wavelength wavelength) {
+  OPTO_ASSERT(link < collection_.graph().link_count());
+  OPTO_ASSERT(wavelength < config_.bandwidth);
+  registry_.pin(link, wavelength);
+}
+
+void Simulator::unpin(EdgeId link, Wavelength wavelength) {
+  OPTO_ASSERT(link < collection_.graph().link_count());
+  OPTO_ASSERT(wavelength < config_.bandwidth);
+  registry_.unpin(link, wavelength);
+}
+
+void Simulator::set_pinned(std::span<const PinnedSlot> pinned) {
+  registry_.unpin_all();
+  for (const PinnedSlot& slot : pinned) pin(slot.link, slot.wavelength);
+}
+
 PassResult Simulator::run(std::span<const LaunchSpec> specs) {
   PassResult result;
   run(specs, result);
@@ -233,12 +251,14 @@ PassResult Simulator::run(std::span<const LaunchSpec> specs) {
 void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   const bool profile = profile_enabled();
   const obs::ScopedTimer obs_timer("sim.pass");
-  Timer timer;
+  // wall_ns is published only under OPTO_PROFILE: read no clock otherwise.
+  std::optional<Timer> timer;
+  if (profile) timer.emplace();
   result.trace.reset(config_.record_trace);
   result.metrics = PassMetrics{};
   const auto count = static_cast<WormId>(specs.size());
   result.worms.assign(count, WormOutcome{});
-  registry_.clear();
+  registry_.clear();  // held channels (pin()) stay
   registry_.reset_stats();
   // Fault injection (sim/faults.hpp). A null or zero-fault plan keeps
   // every branch below dead, so the fault-free engine is untouched.
@@ -250,6 +270,9 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     // contention resolvers treat as an unbeatable blocker. Serve-first
     // entrants are eliminated; priority entrants cannot truncate it;
     // converting routers see the wavelength as busy and retune around it.
+    // claim() leaves a held channel in place, so a pinned slot shadows a
+    // stuck fault on the same channel: the engine's holds are the primary
+    // occupant, and the attribution of entrant losses follows the claim.
     Claim stuck;
     stuck.worm = kInvalidWorm;
     stuck.priority = std::numeric_limits<std::uint32_t>::max();
@@ -259,22 +282,6 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     for (EdgeId link = 0; link < links; ++link)
       for (Wavelength w = 0; w < config_.bandwidth; ++w)
         if (plan->wavelength_stuck(link, w)) registry_.claim(link, w, stuck);
-  }
-  // Pinned slots (held channels of established connections) are seeded
-  // after the stuck-wavelength sentinels, so a pinned slot shadows a
-  // stuck fault on the same channel: the engine's holds are the primary
-  // occupant, and the attribution of entrant losses follows the claim.
-  if (!pinned_.empty()) {
-    Claim held;
-    held.worm = kPinnedWorm;
-    held.priority = std::numeric_limits<std::uint32_t>::max();
-    held.entry = 0;
-    held.release = std::numeric_limits<SimTime>::max();
-    for (const PinnedSlot& slot : pinned_) {
-      OPTO_DASSERT(slot.link < collection_.graph().link_count());
-      OPTO_DASSERT(slot.wavelength < config_.bandwidth);
-      registry_.claim(slot.link, slot.wavelength, held);
-    }
   }
   const bool convert = config_.conversion != ConversionMode::None;
   if (convert) {
@@ -501,7 +508,9 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
     if (outcome.occupant_truncated)
       apply_truncation(occupant_worm, occupant_link_index, now, result);
 
-    for (WormId loser : outcome.eliminated) {
+    // Every entrant but the admitted one is eliminated, in entrant order.
+    for (const WormId loser : group) {
+      if (loser == outcome.admitted) continue;
       // Witness (Lemma 2.2): the worm that prevented this one — the
       // occupant, else the admitted worm, else a dead-heat peer.
       WormId blocker = kInvalidWorm;
@@ -846,7 +855,7 @@ void Simulator::run(std::span<const LaunchSpec> specs, PassResult& result) {
   result.metrics.registry_hits = registry_.stats().hits;
   if (profile)
     result.metrics.wall_ns =
-        static_cast<std::uint64_t>(timer.elapsed_seconds() * 1e9);
+        static_cast<std::uint64_t>(timer->elapsed_seconds() * 1e9);
   if (obs::enabled()) record_pass_observation(result.metrics);
 }
 

@@ -61,10 +61,11 @@ struct SimConfig {
 
 /// A (directed link, wavelength) channel held by an established
 /// connection — the streaming engine's circuits between protocol passes.
-/// Pinned slots enter the occupancy registry as permanent sentinel
-/// occupants (worm = kPinnedWorm, top priority, never released): every
-/// entrant is eliminated, priority worms cannot truncate them, and
-/// converting routers retune around them. Losses are accounted in
+/// Pinned slots are the occupancy registry's held layer: permanent
+/// sentinel occupants (worm = kPinnedWorm, top priority, never released)
+/// that stay across passes until unpinned. Every entrant is eliminated,
+/// priority worms cannot truncate them, and converting routers retune
+/// around them. Losses are accounted in
 /// PassMetrics::pinned_blocks / WormOutcome::pinned_loss, separate from
 /// both contention kills and fault kills.
 struct PinnedSlot {
@@ -136,13 +137,22 @@ class Simulator {
 
   const SimConfig& config() const { return config_; }
 
-  /// Installs the pinned-slot set consulted by subsequent run() calls
-  /// (sim-level substrate of the streaming engine's held connections).
-  /// The span must stay valid across those calls; it is re-read at the
-  /// top of every pass, so the caller may mutate the underlying vector
-  /// between passes. Duplicate slots are allowed (later wins); a pinned
-  /// slot shadows a stuck-wavelength fault on the same channel.
-  void set_pinned(std::span<const PinnedSlot> pinned) { pinned_ = pinned; }
+  /// Holds (link, wavelength) for every later run() until unpin() — the
+  /// sim-level substrate of the streaming engine's held connections,
+  /// called once when a circuit is established. Pinning a held channel
+  /// again is a no-op (pins do not nest). A pinned slot shadows a
+  /// stuck-wavelength fault on the same channel. Call between passes.
+  void pin(EdgeId link, Wavelength wavelength);
+
+  /// Frees a held channel (a no-op if it is not held); the next run()
+  /// sees it free. Call between passes.
+  void unpin(EdgeId link, Wavelength wavelength);
+
+  /// Replaces the whole held set with `pinned`, copied at call time: the
+  /// span need not outlive the call, and later changes to it are not
+  /// seen. Duplicate slots are allowed. Equivalent to unpinning every
+  /// held channel, then pinning each slot.
+  void set_pinned(std::span<const PinnedSlot> pinned);
 
  private:
   struct Attempt {
@@ -157,8 +167,7 @@ class Simulator {
 
   const PathCollection& collection_;
   SimConfig config_;
-  OccupancyRegistry registry_;
-  std::span<const PinnedSlot> pinned_;  ///< held channels; see set_pinned()
+  OccupancyRegistry registry_;  ///< held channels persist across passes
 
   // Immutable per-collection views, snapshotted at construction (SoA hot
   // path): the flattened link array and the per-link "source node

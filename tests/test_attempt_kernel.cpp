@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
 #include "opto/rng/rng.hpp"
 #include "opto/sim/attempt_kernel.hpp"
+#include "opto/sim/occupancy.hpp"
 
 namespace opto {
 namespace {
@@ -50,9 +52,10 @@ TEST(AttemptKernel, PrescanFlagsOnlyFreeSingletonNonMergeKeys) {
 
 TEST(AttemptKernel, PrescanMatchesGroupCountOracle) {
   // Random sorted words against an oracle that counts each group key's
-  // multiplicity instead of looking at neighbours. Channels mix the three
+  // multiplicity instead of looking at neighbours. Channels mix the four
   // registry states the prescan reads: stale epoch (free), live but
-  // released at or before `now` (free), live and held past `now`.
+  // released at or before `now` (free), live and busy past `now`, and a
+  // held channel (top epoch, never released).
   Rng rng(505);
   const unsigned id_bits = 10;
   const std::uint32_t current_epoch = 3;
@@ -82,7 +85,12 @@ TEST(AttemptKernel, PrescanMatchesGroupCountOracle) {
         std::vector<std::uint32_t> epochs(channels);
         std::vector<SimTime> releases(channels);
         for (std::size_t c = 0; c < channels; ++c) {
-          const std::uint64_t kind = rng.next_below(3);
+          const std::uint64_t kind = rng.next_below(4);
+          if (kind == 3) {
+            epochs[c] = OccupancyRegistry::kHeldEpoch;
+            releases[c] = std::numeric_limits<SimTime>::max();
+            continue;
+          }
           epochs[c] = kind == 0 ? current_epoch - 1 : current_epoch;
           releases[c] =
               kind == 2 ? now + 1 + static_cast<SimTime>(rng.next_below(9))
@@ -98,7 +106,7 @@ TEST(AttemptKernel, PrescanMatchesGroupCountOracle) {
               static_cast<std::size_t>(k >> (wl_bits + 1)) * bandwidth +
               static_cast<std::size_t>(k & (merge_bit - 1));
           expected[i] = multiplicity[k] == 1 && (k & merge_bit) == 0 &&
-                        (epochs[channel] != current_epoch ||
+                        (epochs[channel] < current_epoch ||
                          releases[channel] <= now);
         }
         std::vector<std::uint8_t> mask(n, 0xCD);

@@ -1,8 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
+#include "opto/rng/rng.hpp"
 #include "opto/sim/occupancy.hpp"
 
 namespace opto {
+
+/// Moves the registry epoch, so the wrap branch of clear() is reachable
+/// without 2^32 passes.
+struct OccupancyTestPeer {
+  static void set_epoch(OccupancyRegistry& registry, std::uint32_t epoch) {
+    registry.epoch_ = epoch;
+  }
+};
+
 namespace {
 
 Claim make_claim(WormId worm, SimTime entry, SimTime release,
@@ -188,6 +201,162 @@ TEST(Occupancy, ClearThenReuseAcrossManyPasses) {
     const auto occ = registry.occupant(7, 0, 1);
     ASSERT_TRUE(occ.has_value());
     EXPECT_EQ(occ->worm, static_cast<WormId>(pass));
+  }
+}
+
+/// Both backends: the default hash table and a dense one over 64 links.
+std::vector<OccupancyRegistry> both_backends() {
+  std::vector<OccupancyRegistry> registries(2);
+  registries[1].use_dense(64, 4);
+  return registries;
+}
+
+TEST(Occupancy, HeldChannelSurvivesClear) {
+  for (OccupancyRegistry& registry : both_backends()) {
+    registry.pin(5, 2);
+    EXPECT_EQ(registry.held(), 1u);
+    for (int pass = 0; pass < 50; ++pass) {
+      registry.clear();
+      const Claim* held = registry.find(5, 2, 1000000);
+      ASSERT_NE(held, nullptr) << "dense " << registry.dense();
+      EXPECT_EQ(held->worm, kPinnedWorm);
+      EXPECT_EQ(registry.size(), 1u);
+      registry.claim(5, 1, make_claim(3, 0, 4));  // other wavelength: fine
+      EXPECT_TRUE(registry.occupant(5, 1, 2).has_value());
+    }
+    registry.unpin(5, 2);
+    EXPECT_EQ(registry.held(), 0u);
+    EXPECT_FALSE(registry.occupant(5, 2, 0).has_value());
+    registry.clear();
+    EXPECT_EQ(registry.size(), 0u);
+  }
+}
+
+TEST(Occupancy, ClaimNeverOverwritesHeldChannel) {
+  for (OccupancyRegistry& registry : both_backends()) {
+    registry.pin(9, 0);
+    registry.clear();
+    Claim stuck = make_claim(kInvalidWorm, 0, 1 << 30);
+    registry.claim(9, 0, stuck);
+    const Claim* occupant = registry.find(9, 0, 5);
+    ASSERT_NE(occupant, nullptr);
+    EXPECT_EQ(occupant->worm, kPinnedWorm) << "dense " << registry.dense();
+    EXPECT_EQ(registry.shorten(9, 0, kPinnedWorm, 1), 0);
+    EXPECT_EQ(registry.size(), 1u);
+  }
+}
+
+TEST(Occupancy, PinIsIdempotentAndUnpinOfFreeChannelIsNoOp) {
+  for (OccupancyRegistry& registry : both_backends()) {
+    registry.pin(3, 1);
+    registry.pin(3, 1);
+    EXPECT_EQ(registry.held(), 1u);
+    registry.unpin(4, 1);  // never held
+    EXPECT_EQ(registry.held(), 1u);
+    registry.unpin(3, 1);
+    registry.unpin(3, 1);
+    EXPECT_EQ(registry.held(), 0u);
+    EXPECT_EQ(registry.size(), 0u);
+  }
+}
+
+TEST(Occupancy, UnpinAllFreesEveryHeldChannel) {
+  for (OccupancyRegistry& registry : both_backends()) {
+    for (EdgeId link = 0; link < 40; ++link) registry.pin(link, link % 4);
+    registry.unpin(7, 3);
+    registry.unpin_all();
+    registry.clear();
+    EXPECT_EQ(registry.held(), 0u);
+    EXPECT_EQ(registry.size(), 0u);
+    for (EdgeId link = 0; link < 40; ++link)
+      EXPECT_FALSE(registry.occupant(link, link % 4, 0).has_value());
+    registry.pin(11, 3);
+    registry.clear();
+    EXPECT_TRUE(registry.occupant(11, 3, 0).has_value());
+  }
+}
+
+TEST(Occupancy, EpochWrapKeepsHeldChannels) {
+  for (OccupancyRegistry& registry : both_backends()) {
+    registry.pin(6, 1);
+    registry.claim(2, 0, make_claim(1, 0, 100));
+    // The last ordinary epoch; the claim above is from an older one.
+    OccupancyTestPeer::set_epoch(registry,
+                                 OccupancyRegistry::kHeldEpoch - 1);
+    EXPECT_FALSE(registry.occupant(2, 0, 5).has_value());
+    registry.claim(3, 0, make_claim(2, 0, 100));
+    EXPECT_TRUE(registry.occupant(3, 0, 5).has_value());
+    registry.clear();  // wraps
+    EXPECT_EQ(registry.epoch(), 1u);
+    EXPECT_FALSE(registry.occupant(2, 0, 5).has_value());
+    EXPECT_FALSE(registry.occupant(3, 0, 5).has_value());
+    const auto held = registry.occupant(6, 1, 5);
+    ASSERT_TRUE(held.has_value()) << "dense " << registry.dense();
+    EXPECT_EQ(held->worm, kPinnedWorm);
+    EXPECT_EQ(registry.size(), 1u);
+    registry.claim(3, 0, make_claim(4, 0, 100));
+    EXPECT_EQ(registry.occupant(3, 0, 5)->worm, 4u);
+    registry.unpin(6, 1);
+    registry.clear();
+    EXPECT_EQ(registry.size(), 0u);
+    EXPECT_FALSE(registry.occupant(6, 1, 5).has_value());
+  }
+}
+
+TEST(Occupancy, HeldAndTransientLayersMatchModel) {
+  // Random passes over few keys in a small table, so probe chains mix
+  // held slots, held tombstones, transient claims, transient tombstones
+  // and growth. Between passes: pins/unpins; within a pass: claims,
+  // shortens and sweeps. Every key's occupant must match a plain map.
+  for (OccupancyRegistry& registry : both_backends()) {
+    Rng rng(77);
+    std::map<std::pair<EdgeId, Wavelength>, bool> held;
+    for (int pass = 0; pass < 300; ++pass) {
+      for (auto ops = rng.next_below(6); ops > 0; --ops) {
+        const auto link = static_cast<EdgeId>(rng.next_below(64));
+        const auto wl = static_cast<Wavelength>(rng.next_below(4));
+        if (rng.next_below(3) != 0) {
+          registry.pin(link, wl);
+          held[{link, wl}] = true;
+        } else {
+          registry.unpin(link, wl);
+          held.erase({link, wl});
+        }
+      }
+      if (rng.next_below(50) == 0) {
+        registry.unpin_all();
+        held.clear();
+      }
+      registry.clear();
+      std::map<std::pair<EdgeId, Wavelength>, Claim> transient;
+      SimTime now = 0;
+      for (int step = 0; step < 40; ++step, ++now) {
+        const auto link = static_cast<EdgeId>(rng.next_below(64));
+        const auto wl = static_cast<Wavelength>(rng.next_below(4));
+        const Claim claim =
+            make_claim(static_cast<WormId>(step), now,
+                       now + 1 + static_cast<SimTime>(rng.next_below(8)));
+        registry.claim(link, wl, claim);
+        if (held.count({link, wl}) == 0) transient[{link, wl}] = claim;
+        registry.sweep_step(now, 4);
+      }
+      ASSERT_EQ(registry.held(), held.size());
+      for (EdgeId link = 0; link < 64; ++link)
+        for (Wavelength wl = 0; wl < 4; ++wl) {
+          const Claim* found = registry.find(link, wl, now);
+          if (held.count({link, wl}) != 0) {
+            ASSERT_NE(found, nullptr) << "pass " << pass;
+            EXPECT_EQ(found->worm, kPinnedWorm);
+            continue;
+          }
+          const auto it = transient.find({link, wl});
+          const bool live = it != transient.end() && it->second.release > now;
+          ASSERT_EQ(found != nullptr, live)
+              << "pass " << pass << " link " << link << " wl " << wl
+              << " dense " << registry.dense();
+          if (live) EXPECT_EQ(found->worm, it->second.worm);
+        }
+    }
   }
 }
 

@@ -5,9 +5,11 @@
 
 #include "opto/core/trial_and_failure.hpp"
 #include "opto/graph/mesh.hpp"
+#include "opto/obs/obs.hpp"
 #include "opto/paths/dimension_order.hpp"
 #include "opto/paths/lowerbound_structures.hpp"
 #include "opto/paths/workloads.hpp"
+#include "opto/rng/rng.hpp"
 
 namespace opto {
 namespace {
@@ -191,6 +193,32 @@ TEST(Protocol, TrackedCongestionEqualsCopiedActiveSubset) {
   }
   EXPECT_TRUE(active.empty());
   EXPECT_GT(rounds, 1u);
+}
+
+TEST(Protocol, WarmedSessionStepsAllocateNothing) {
+  // A steady-state round allocates nothing (the streaming engine's
+  // contract). With obs on every operator new is counted; steps of a
+  // warmed session whose completions are re-admitted, so the batch keeps
+  // its size, must add none.
+  obs::set_enabled(true);
+  auto topo = std::make_shared<MeshTopology>(make_torus({6, 6}));
+  Rng rng(3);
+  const auto collection = mesh_random_function(topo, rng);
+  auto config = base_config(2, 2);
+  config.rule = ContentionRule::Priority;
+  FixedSchedule schedule(4);
+  ProtocolSession session(collection, config, schedule, 9);
+  for (PathId id = 0; id < collection.size(); ++id) session.admit(id, id);
+  const auto step_and_readmit = [&session] {
+    session.step();
+    for (const auto& done : session.completed())
+      session.admit(done.path, done.tag);
+  };
+  for (int warm = 0; warm < 40; ++warm) step_and_readmit();
+  const std::uint64_t before = obs::alloc_count();
+  for (int step = 0; step < 40; ++step) step_and_readmit();
+  EXPECT_EQ(obs::alloc_count(), before);
+  EXPECT_EQ(session.active_count(), collection.size());
 }
 
 TEST(Protocol, ZeroLengthPathsFinishInOneRound) {
